@@ -23,6 +23,7 @@ from .core import (
     DimensionlessPoint,
     DomainError,
     ModelKind,
+    NumericError,
     PhysicalPoint,
     to_dimensionless,
     validate,
@@ -298,6 +299,9 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](parser, args)
     except DomainError as exc:
         parser.error(str(exc))
+    except NumericError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

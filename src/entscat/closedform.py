@@ -33,11 +33,14 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     AmplitudeSet,
     DimensionlessPoint,
     DomainError,
     ModelKind,
+    NumericError,
     SiteCoefficients,
     UnsupportedModelError,
     validate,
@@ -52,6 +55,28 @@ class TruncatedAmplitudeSet(AmplitudeSet):
     bounce_order: int
 
 
+def _site_terms(omega, model):
+    """(t, r, f, t_same, r_same) of one site of opacity ``omega``.
+
+    Written with ``+ - * /`` only, so ``omega`` may be a float or a numpy
+    array.  The exchange model's t, r, t_same and r_same come out real.
+    """
+    if model is ModelKind.SPIN_EXCHANGE:
+        den = 1.0 + omega * omega
+        return 1.0 / den, -omega * omega / den, -1j * omega / den, 1.0, 0.0
+    if model is ModelKind.HEISENBERG_CONTACT:
+        den = (1.0 + 1j * omega) * (1.0 - 3j * omega)
+        same = 1.0 + 1j * omega
+        return (
+            (1.0 - 1j * omega) / den,
+            1j * omega * (1.0 + 3j * omega) / den,
+            -2j * omega / den,
+            1.0 / same,
+            -1j * omega / same,
+        )
+    raise UnsupportedModelError(f"unknown model {model!r}")
+
+
 def site_coefficients(omega: float, model: ModelKind) -> SiteCoefficients:
     """Amplitudes of a single delta scatterer of opacity ``omega``.
 
@@ -62,25 +87,17 @@ def site_coefficients(omega: float, model: ModelKind) -> SiteCoefficients:
         raise DomainError(f"omega must be finite, got {omega!r}")
     if omega < 0.0:
         raise DomainError(f"omega must be non-negative, got {omega!r}")
-    if model is ModelKind.SPIN_EXCHANGE:
-        den = 1.0 + omega * omega
-        return SiteCoefficients(
-            t=complex(1.0 / den),
-            r=complex(-omega * omega / den),
-            f=-1j * omega / den,
-            t_same=complex(1.0),
-            r_same=complex(0.0),
-        )
-    if model is ModelKind.HEISENBERG_CONTACT:
-        den = (1.0 + 1j * omega) * (1.0 - 3j * omega)
-        return SiteCoefficients(
-            t=(1.0 - 1j * omega) / den,
-            r=1j * omega * (1.0 + 3j * omega) / den,
-            f=-2j * omega / den,
-            t_same=1.0 / (1.0 + 1j * omega),
-            r_same=-1j * omega / (1.0 + 1j * omega),
-        )
-    raise UnsupportedModelError(f"unknown model {model!r}")
+    return SiteCoefficients(*map(complex, _site_terms(omega, model)))
+
+
+def _self_energies(a, b, e2):
+    """Contact-model dressing (sigma_a, sigma_b) from the site terms of
+    :func:`_site_terms`; see :func:`dressed_coefficients`."""
+    _, a_r, a_f, _, a_rs = a
+    _, b_r, b_f, _, b_rs = b
+    sigma_a = a_f * a_f * b_rs * e2 / (1.0 - a_r * b_rs * e2)
+    sigma_b = b_f * b_f * a_rs * e2 / (1.0 - b_r * a_rs * e2)
+    return sigma_a, sigma_b
 
 
 def dressed_coefficients(pt: DimensionlessPoint):
@@ -98,55 +115,50 @@ def dressed_coefficients(pt: DimensionlessPoint):
     pt = validate(pt)
     if pt.model is not ModelKind.HEISENBERG_CONTACT:
         raise UnsupportedModelError("dressed coefficients exist only for the contact model")
-    a = site_coefficients(pt.omega_a, pt.model)
-    b = site_coefficients(pt.omega_b, pt.model)
-    e2 = cmath.exp(2j * pt.phase)
-    sigma_a = a.f * a.f * b.r_same * e2 / (1.0 - a.r * b.r_same * e2)
-    sigma_b = b.f * b.f * a.r_same * e2 / (1.0 - b.r * a.r_same * e2)
-    return (a.t + sigma_a, a.r + sigma_a, b.t + sigma_b, b.r + sigma_b, sigma_a, sigma_b)
+    a = _site_terms(pt.omega_a, pt.model)
+    b = _site_terms(pt.omega_b, pt.model)
+    sigma_a, sigma_b = _self_energies(a, b, cmath.exp(2j * pt.phase))
+    return (a[0] + sigma_a, a[1] + sigma_a, b[0] + sigma_b, b[1] + sigma_b, sigma_a, sigma_b)
 
 
-def amplitudes(pt: DimensionlessPoint) -> AmplitudeSet:
-    """Exact two-site amplitudes for the three open channels.
+def _closed_forms(omega_a, omega_b, ea, em, e2, model):
+    """The six two-site amplitudes (t_noflip, r_noflip, t_flipb, r_flipb,
+    t_flipa, r_flipa) at opacities ``omega_a``, ``omega_b`` with the phase
+    factors ``ea`` = E, ``em`` = 1/E and ``e2`` = E^2.
 
-    The denominators cannot vanish for real phase because |r_A r_B| < 1 at
-    any finite opacity; this is asserted rather than assumed.
+    This is the only statement of the two-site closed forms.  It uses
+    ``+ - * /`` only, so :func:`amplitudes` runs it on Python complex scalars
+    and :func:`grid_amplitudes` on broadcast numpy arrays.
     """
-    pt = validate(pt)
-    a = site_coefficients(pt.omega_a, pt.model)
-    b = site_coefficients(pt.omega_b, pt.model)
-    ea = cmath.exp(1j * pt.phase)
-    em = cmath.exp(-1j * pt.phase)
-    e2 = cmath.exp(2j * pt.phase)
+    a = _site_terms(omega_a, model)
+    b = _site_terms(omega_b, model)
+    a_t, a_r, a_f, a_ts, a_rs = a
+    b_t, b_r, b_f, b_ts, b_rs = b
+    if model is ModelKind.SPIN_EXCHANGE:
+        den = 1.0 - a_r * b_r * e2
+        t_nf = a_t * b_t * ea / den
+        r_nf = a_r + a_t * a_t * b_r * e2 / den
+        t_fb = a_t * b_f * ea / den
+        t_fa = (1.0 + a_t * b_r * e2 / den) * a_f * ea
+        return t_nf, r_nf, t_fb, t_fb * ea, t_fa, t_fa * em
 
-    if pt.model is ModelKind.SPIN_EXCHANGE:
-        den = 1.0 - a.r * b.r * e2
-        assert abs(den) > 0.0
-        t_nf = a.t * b.t * ea / den
-        r_nf = a.r + a.t * a.t * b.r * e2 / den
-        t_fb = a.t * b.f * ea / den
-        r_fb = t_fb * ea
-        t_fa = (1.0 + a.t * b.r * e2 / den) * a.f * ea
-        r_fa = t_fa * em
-        return AmplitudeSet(t_nf, r_nf, t_fb, r_fb, t_fa, r_fa)
-
-    ta_d, ra_d, tb_d, rb_d, _, _ = dressed_coefficients(pt)
+    sigma_a, sigma_b = _self_energies(a, b, e2)
+    ta_d, ra_d, tb_d, rb_d = a_t + sigma_a, a_r + sigma_a, b_t + sigma_b, b_r + sigma_b
     den = 1.0 - ra_d * rb_d * e2
-    assert abs(den) > 0.0
-    den_b = 1.0 - a.r_same * b.r * e2  # post-flip bouncing, flip happened at B
-    den_a = 1.0 - a.r * b.r_same * e2  # post-flip bouncing, flip happened at A
+    den_b = 1.0 - a_rs * b_r * e2  # post-flip bouncing, flip happened at B
+    den_a = 1.0 - a_r * b_rs * e2  # post-flip bouncing, flip happened at A
     t_nf = ta_d * tb_d * ea / den
     r_nf = ra_d + ta_d * ta_d * rb_d * e2 / den
     reach_b = ta_d * ea / den
-    t_fb = reach_b * b.f * (1.0 + a.r_same * b.t * e2 / den_b)
-    r_fb = reach_b * b.f * a.t_same * ea / den_b
+    t_fb = reach_b * b_f * (1.0 + a_rs * b_t * e2 / den_b)
+    r_fb = reach_b * b_f * a_ts * ea / den_b
     stand_a = 1.0 + ta_d * rb_d * e2 / den
-    t_fa = stand_a * a.f * b.t_same * ea / den_a
-    r_fa = stand_a * a.f * (1.0 + a.t * b.r_same * e2 / den_a)
-    return AmplitudeSet(t_nf, r_nf, t_fb, r_fb, t_fa, r_fa)
+    t_fa = stand_a * a_f * b_ts * ea / den_a
+    r_fa = stand_a * a_f * (1.0 + a_t * b_rs * e2 / den_a)
+    return t_nf, r_nf, t_fb, r_fb, t_fa, r_fa
 
 
-def _partial_geometric(q: complex, last_index: int) -> complex:
+def _partial_geometric(q, last_index: int):
     """Sum of q^j for j = 0..last_index; zero when last_index < 0."""
     if last_index < 0:
         return complex(0.0)
@@ -154,6 +166,60 @@ def _partial_geometric(q: complex, last_index: int) -> complex:
     for _ in range(last_index):
         total = 1.0 + q * total
     return total
+
+
+def _truncated_forms(omega_a, omega_b, ea, em, e2, n):
+    """Exchange-model counterpart of :func:`_closed_forms` with at most
+    ``n`` bounces kept (see :func:`truncated_amplitudes`)."""
+    if not isinstance(n, int) or n < 0:
+        raise DomainError(f"bounce count must be a non-negative integer, got {n!r}")
+    a_t, a_r, a_f, _, _ = _site_terms(omega_a, ModelKind.SPIN_EXCHANGE)
+    b_t, b_r, b_f, _, _ = _site_terms(omega_b, ModelKind.SPIN_EXCHANGE)
+    q = b_r * a_r * e2
+    full = _partial_geometric(q, n)        # j = 0..n
+    clipped = _partial_geometric(q, n - 1)  # j = 0..n-1
+    t_nf = a_t * b_t * ea * full
+    r_nf = a_r + a_t * a_t * b_r * e2 * clipped
+    t_fb = a_t * b_f * ea * full
+    t_fa = a_f * ea * (1.0 + a_t * b_r * e2 * clipped)
+    return t_nf, r_nf, t_fb, t_fb * ea, t_fa, t_fa * em
+
+
+def _not_finite(pt: DimensionlessPoint) -> NumericError:
+    return NumericError(
+        f"amplitudes are not finite in float64 at omega_a={pt.omega_a!r}, "
+        f"omega_b={pt.omega_b!r}, phase={pt.phase!r} (model {pt.model.value})",
+        pt,
+    )
+
+
+def _at_point(forms, pt: DimensionlessPoint, last):
+    """Run ``forms`` (:func:`_closed_forms` or :func:`_truncated_forms`) at
+    one validated point with cmath phase factors; ``last`` is its final
+    argument.  Raises NumericError unless all six amplitudes are finite."""
+    phase = pt.phase
+    try:
+        amps = forms(pt.omega_a, pt.omega_b, cmath.exp(1j * phase), cmath.exp(-1j * phase),
+                     cmath.exp(2j * phase), last)
+        # |amplitude| <= 1, so the sum is finite exactly when every term is
+        finite = cmath.isfinite(sum(amps))
+    except ZeroDivisionError:  # a denominator rounded to exactly 0 (numpy gives inf there)
+        finite = False
+    if not finite:
+        raise _not_finite(pt)
+    return amps
+
+
+def amplitudes(pt: DimensionlessPoint) -> AmplitudeSet:
+    """Exact two-site amplitudes for the three open channels.
+
+    The denominators cannot vanish for real phase because |r_A r_B| < 1 at
+    any finite opacity.  In float64 they can: r rounds to -1 for omega
+    above about 1e8, and omega^2 overflows above about 1e154.  A result
+    that is not finite raises NumericError with the point attached.
+    """
+    pt = validate(pt)
+    return AmplitudeSet(*_at_point(_closed_forms, pt, pt.model))
 
 
 def truncated_amplitudes(pt: DimensionlessPoint, n: int) -> TruncatedAmplitudeSet:
@@ -170,23 +236,33 @@ def truncated_amplitudes(pt: DimensionlessPoint, n: int) -> TruncatedAmplitudeSe
     pt = validate(pt)
     if pt.model is not ModelKind.SPIN_EXCHANGE:
         raise UnsupportedModelError("bounce truncation is defined for the exchange model only")
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"bounce count must be a non-negative integer, got {n!r}")
-    a = site_coefficients(pt.omega_a, pt.model)
-    b = site_coefficients(pt.omega_b, pt.model)
-    ea = cmath.exp(1j * pt.phase)
-    em = cmath.exp(-1j * pt.phase)
-    e2 = cmath.exp(2j * pt.phase)
-    q = b.r * a.r * e2
-    full = _partial_geometric(q, n)        # j = 0..n
-    clipped = _partial_geometric(q, n - 1)  # j = 0..n-1
-    t_nf = a.t * b.t * ea * full
-    r_nf = a.r + a.t * a.t * b.r * e2 * clipped
-    t_fb = a.t * b.f * ea * full
-    r_fb = t_fb * ea
-    t_fa = a.f * ea * (1.0 + a.t * b.r * e2 * clipped)
-    r_fa = t_fa * em
-    return TruncatedAmplitudeSet(t_nf, r_nf, t_fb, r_fb, t_fa, r_fa, bounce_order=n)
+    return TruncatedAmplitudeSet(*_at_point(_truncated_forms, pt, n), bounce_order=n)
+
+
+def grid_amplitudes(omega_a, omega_b, phase, model: ModelKind, bounces: int | None = None):
+    """Array form of :func:`amplitudes` (``bounces`` None) or of
+    :func:`truncated_amplitudes` (``bounces`` = n, exchange model only).
+
+    ``omega_a``, ``omega_b`` and ``phase`` are broadcastable arrays of
+    opacities and folded phases that the caller has already validated.
+    Returns the six amplitude arrays from the same closed forms as the
+    scalar path; numpy's complex arithmetic may round the last digits
+    differently.  Raises NumericError at the first cell, in row-major order,
+    where an amplitude is not finite.
+    """
+    with np.errstate(all="ignore"):
+        factors = np.exp(1j * phase), np.exp(-1j * phase), np.exp(2j * phase)
+        if bounces is None:
+            amps = _closed_forms(omega_a, omega_b, *factors, model)
+        else:
+            amps = _truncated_forms(omega_a, omega_b, *factors, bounces)
+        bad = ~np.isfinite(sum(amps))
+    if bad.any():
+        cells = np.broadcast_arrays(omega_a, omega_b, phase, bad)
+        i = int(np.argmax(cells[3].ravel()))
+        wa, wb, ph = (float(c.ravel()[i]) for c in cells[:3])
+        raise _not_finite(DimensionlessPoint(wa, wb, ph, model))
+    return amps
 
 
 def interaction_time_map(omega: float) -> tuple[float, float]:

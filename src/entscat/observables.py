@@ -16,8 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .closedform import amplitudes
-from .core import AmplitudeSet, DimensionlessPoint, ObservableSet, Side, validate
+from .core import AmplitudeSet, DimensionlessPoint, ObservableSet, Side
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,16 @@ def post_selected_state(amps: AmplitudeSet, side: Side) -> PostSelectedState:
     return PostSelectedState(amps.r_flipb, amps.r_flipa, side)
 
 
+def _concurrence_ratio(x: float, y: float) -> tuple[float | None, float | None]:
+    if x == 0.0 and y == 0.0:
+        return None, None
+    scale = max(x, y)  # keeps the squares from underflowing for tiny weights
+    xs, ys = x / scale, y / scale
+    concurrence = 2.0 * xs * ys / (xs * xs + ys * ys)
+    ratio = math.inf if x == 0.0 else y / x
+    return concurrence, ratio
+
+
 def concurrence_and_ratio(state: PostSelectedState) -> tuple[float | None, float | None]:
     """Concurrence C and weight ratio a = |w_downup / w_updown|.
 
@@ -48,15 +60,7 @@ def concurrence_and_ratio(state: PostSelectedState) -> tuple[float | None, float
     then).  Both weights zero means nothing is ever detected; that returns
     (None, None) rather than a misleading 0.
     """
-    x = abs(state.coeff_updown)
-    y = abs(state.coeff_downup)
-    if x == 0.0 and y == 0.0:
-        return None, None
-    scale = max(x, y)  # keeps the squares from underflowing for tiny weights
-    xs, ys = x / scale, y / scale
-    concurrence = 2.0 * xs * ys / (xs * xs + ys * ys)
-    ratio = math.inf if x == 0.0 else y / x
-    return concurrence, ratio
+    return _concurrence_ratio(abs(state.coeff_updown), abs(state.coeff_downup))
 
 
 def probability(state: PostSelectedState) -> float:
@@ -68,20 +72,37 @@ def probability(state: PostSelectedState) -> float:
 
 def observables_at(pt: DimensionlessPoint) -> ObservableSet:
     """Full per-side observables at a parameter point."""
-    pt = validate(pt)
     amps = amplitudes(pt)
-    trans = post_selected_state(amps, Side.TRANSMITTED)
-    refl = post_selected_state(amps, Side.REFLECTED)
-    c_t, a_t = concurrence_and_ratio(trans)
-    c_r, a_r = concurrence_and_ratio(refl)
+    x_t, y_t = abs(amps.t_flipb), abs(amps.t_flipa)
+    x_r, y_r = abs(amps.r_flipb), abs(amps.r_flipa)
+    c_t, a_t = _concurrence_ratio(x_t, y_t)
+    c_r, a_r = _concurrence_ratio(x_r, y_r)
     return ObservableSet(
         concurrence_t=c_t,
-        probability_t=probability(trans),
+        probability_t=x_t ** 2 + y_t ** 2,
         ratio_a_t=a_t,
         concurrence_r=c_r,
-        probability_r=probability(refl),
+        probability_r=x_r ** 2 + y_r ** 2,
         ratio_a_r=a_r,
     )
+
+
+def side_arrays(w_updown, w_downup):
+    """Array form of :func:`concurrence_and_ratio` and :func:`probability`
+    for one side, from arrays of the flip amplitudes.
+
+    Returns (C, P, a) arrays, with C and a NaN where nothing is detected
+    (both weights zero); that is the only place either is NaN.
+    """
+    x = np.abs(w_updown)
+    y = np.abs(w_downup)
+    undefined = (x == 0.0) & (y == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.maximum(x, y)  # keeps the squares from underflowing for tiny weights
+        xs, ys = x / scale, y / scale
+        concurrence = np.where(undefined, np.nan, 2.0 * xs * ys / (xs * xs + ys * ys))
+        ratio = np.where(undefined, np.nan, np.where(x == 0.0, np.inf, y / x))
+    return concurrence, x * x + y * y, ratio
 
 
 def model1_probability(omega_a, omega_b, sin2_kd):

@@ -9,21 +9,24 @@ so identical invocations produce byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import __version__
-from .closedform import amplitudes, truncated_amplitudes
+from .closedform import grid_amplitudes
 from .core import (
     DimensionlessPoint,
     DomainError,
     ModelKind,
     PhysicalPoint,
-    Side,
     to_dimensionless,
+    validate,
 )
-from .observables import concurrence_and_ratio, observables_at, post_selected_state, probability
+from .observables import side_arrays
 
 PHYSICAL_NAMES = ("k", "gA", "gB", "d")
 DIMENSIONLESS_NAMES = ("omegaA", "omegaB", "phase", "sin2kd")
@@ -97,16 +100,13 @@ def _point_from_params(params: dict[str, float], model: ModelKind) -> Dimensionl
     return DimensionlessPoint(params["omegaA"], params["omegaB"], phase, model)
 
 
-def _cells(axes: tuple[Axis, ...]):
+def _cell(axes: tuple[Axis, ...], index: int) -> dict[str, float]:
+    """Axis values of the cell at ``index`` in row-major order."""
     if len(axes) == 1:
-        for v in axes[0].values():
-            yield {axes[0].name: v}
-    else:
-        outer, inner = axes
-        inner_vals = inner.values()
-        for u in outer.values():
-            for v in inner_vals:
-                yield {outer.name: u, inner.name: v}
+        return {axes[0].name: axes[0].values()[index]}
+    outer, inner = axes
+    row, col = divmod(index, inner.count)
+    return {outer.name: outer.values()[row], inner.name: inner.values()[col]}
 
 
 def _meta(model: ModelKind, fixed: dict[str, float], axes: tuple[Axis, ...], kind: str) -> dict[str, str]:
@@ -122,13 +122,69 @@ def _meta(model: ModelKind, fixed: dict[str, float], axes: tuple[Axis, ...], kin
     return meta
 
 
+def _phase_of_sin2(s):
+    """asin(sqrt(s)) value by value with :mod:`math`, exactly as for one
+    point; NaN outside [0, 1]."""
+    phases = [math.asin(math.sqrt(v)) if 0.0 <= v <= 1.0 else math.nan for v in np.ravel(s).tolist()]
+    return np.reshape(phases, np.shape(s))
+
+
+def _resolve_grid(axes: tuple[Axis, ...], fixed: dict[str, float], model: ModelKind):
+    """Opacities and folded phase of every cell, as arrays that broadcast to
+    the grid in row-major axis order.
+
+    Each axis is resolved once.  The checks of :func:`_point_from_params` and
+    :func:`validate` run as array masks, and the first cell that fails them
+    is resolved again through those two functions, so the error is the one
+    a single point would raise.
+    """
+    shape = tuple(ax.count for ax in axes)
+    params = dict(fixed)
+    for i, ax in enumerate(axes):
+        params[ax.name] = np.reshape(ax.values(), [-1 if j == i else 1 for j in range(len(axes))])
+    _point_from_params({**fixed, **_cell(axes, 0)}, model)  # unit-system and missing-name errors
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if set(params) & set(PHYSICAL_NAMES):
+            k, d, g_a, g_b = params["k"], params.get("d", 1.0), params["gA"], params["gB"]
+            ok = np.isfinite(k) & (k > 0.0) & np.isfinite(d) & (d > 0.0)
+            ok = ok & np.isfinite(g_a) & (g_a >= 0.0) & np.isfinite(g_b) & (g_b >= 0.0)
+            omega_a, omega_b, phase = g_a / k, g_b / k, math.pi * k * d
+        else:
+            omega_a, omega_b = params["omegaA"], params["omegaB"]
+            phase = params["phase"] if "phase" in params else _phase_of_sin2(params["sin2kd"])
+            ok = True
+        ok = ok & np.isfinite(omega_a) & (omega_a >= 0.0) & np.isfinite(omega_b) & (omega_b >= 0.0)
+        ok = ok & np.isfinite(phase)
+    bad = ~np.broadcast_to(ok, shape).ravel()
+    if bad.any():
+        pt = validate(_point_from_params({**fixed, **_cell(axes, int(np.argmax(bad)))}, model))
+        raise DomainError(f"invalid parameter point {pt!r}")  # unreachable while the masks match
+    folded = np.fmod(phase, math.pi)  # exact, as in validate
+    folded = np.where(folded < 0.0, folded + math.pi, folded)
+    folded = np.where(folded >= math.pi, folded - math.pi, folded)
+    return omega_a, omega_b, folded
+
+
+def _columns(shape: tuple[int, ...], arrays) -> list[list[float | None]]:
+    """Row-major value lists of observable arrays, NaN (undefined) as None."""
+    columns = []
+    for arr in arrays:
+        flat = np.broadcast_to(arr, shape).ravel()
+        values = flat.tolist()
+        for i in np.flatnonzero(np.isnan(flat)).tolist():
+            values[i] = None
+        columns.append(values)
+    return columns
+
+
 def run_scan(
     axes: tuple[Axis, ...],
     fixed: dict[str, float],
     model: ModelKind,
     columns: tuple[str, ...] = DEFAULT_COLUMNS,
 ) -> SweepGrid:
-    """Evaluate the observables on a 1D or 2D grid."""
+    """Evaluate the observables on a 1D or 2D grid, in one vectorized pass
+    of the closed forms over the whole grid."""
     if not 1 <= len(axes) <= 2:
         raise DomainError(f"need 1 or 2 axes, got {len(axes)}")
     seen = [ax.name for ax in axes] + list(fixed)
@@ -140,19 +196,13 @@ def run_scan(
     for col in columns:
         if col not in KNOWN_COLUMNS:
             raise DomainError(f"unknown column {col!r}; known: {KNOWN_COLUMNS}")
-    rows = []
-    for cell in _cells(axes):
-        obs = observables_at(_point_from_params({**fixed, **cell}, model))
-        by_name = {
-            "C_t": obs.concurrence_t,
-            "P_t": obs.probability_t,
-            "C_r": obs.concurrence_r,
-            "P_r": obs.probability_r,
-            "a_t": obs.ratio_a_t,
-            "a_r": obs.ratio_a_r,
-        }
-        rows.append(tuple(by_name[c] for c in columns))
-    return SweepGrid(tuple(axes), tuple(columns), tuple(rows), _meta(model, fixed, tuple(axes), "scan"))
+    amps = grid_amplitudes(*_resolve_grid(axes, fixed, model), model)
+    c_t, p_t, a_t = side_arrays(amps[2], amps[4])
+    c_r, p_r, a_r = side_arrays(amps[3], amps[5])
+    by_name = {"C_t": c_t, "P_t": p_t, "C_r": c_r, "P_r": p_r, "a_t": a_t, "a_r": a_r}
+    del amps  # free the amplitude arrays before the rows are built
+    rows = tuple(zip(*_columns(tuple(ax.count for ax in axes), [by_name[c] for c in columns])))
+    return SweepGrid(tuple(axes), tuple(columns), rows, _meta(model, fixed, tuple(axes), "scan"))
 
 
 def run_truncation(
@@ -169,48 +219,52 @@ def run_truncation(
     for n in bounce_orders:
         columns += [f"C_n{n}", f"P_n{n}"]
     columns += ["C_exact", "P_exact"]
-    rows = []
-    for cell in _cells((axis,)):
-        pt = _point_from_params({**fixed, **cell}, model)
-        row = []
-        for n in bounce_orders:
-            state = post_selected_state(truncated_amplitudes(pt, n), Side.TRANSMITTED)
-            c, _ = concurrence_and_ratio(state)
-            row += [c, probability(state)]
-        state = post_selected_state(amplitudes(pt), Side.TRANSMITTED)
-        c, _ = concurrence_and_ratio(state)
-        row += [c, probability(state)]
-        rows.append(tuple(row))
+    cells = _resolve_grid((axis,), fixed, model)
+    arrays = []
+    for n in (*bounce_orders, None):
+        amps = grid_amplitudes(*cells, model, n)
+        arrays += side_arrays(amps[2], amps[4])[:2]
+    rows = tuple(zip(*_columns((axis.count,), arrays)))
     meta = _meta(model, fixed, (axis,), "truncate")
     meta["bounce_orders"] = ",".join(str(n) for n in bounce_orders)
-    return SweepGrid((axis,), tuple(columns), tuple(rows), meta)
+    return SweepGrid((axis,), tuple(columns), rows, meta)
 
 
-def _format_cell(value: float | None) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
+_WRITE_BLOCK = 4096  # lines joined per write, bounding the text held at once
+
+
+def _blocks(lines, sep: str = ""):
+    """``lines`` joined by ``sep``, in strings of up to _WRITE_BLOCK lines."""
+    lines = iter(lines)
+    lead = ""
+    while block := list(itertools.islice(lines, _WRITE_BLOCK)):
+        yield lead + sep.join(block)
+        lead = sep
+
+
+def _csv_cell(value: float | None) -> str:
+    return "" if value is None else repr(float(value))
+
+
+def _json_cell(value: float | None) -> str:
+    return "null" if value is None or not math.isfinite(value) else repr(float(value))
 
 
 def write_csv(grid: SweepGrid, path) -> None:
     meta_line = "# meta: " + ";".join(f"{k}={v}" for k, v in sorted(grid.meta.items()))
     header = ",".join([ax.name for ax in grid.axes] + list(grid.columns))
-    lines = [meta_line, header]
-    for coords, row in zip(_cells(grid.axes), grid.rows):
-        cells = [repr(float(coords[ax.name])) for ax in grid.axes]
-        cells += [_format_cell(v) for v in row]
-        lines.append(",".join(cells))
+    # row-major coordinates, each axis value formatted once
+    coords = itertools.product(*([repr(float(v)) for v in ax.values()] for ax in grid.axes))
+    lines = (",".join(itertools.chain(xy, map(_csv_cell, row))) + "\n" for xy, row in zip(coords, grid.rows))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _json_safe(value: float | None) -> float | None:
-    if value is None or not math.isfinite(value):
-        return None
-    return float(value)
+        fh.write(meta_line + "\n" + header + "\n")
+        fh.writelines(_blocks(lines))
 
 
 def write_json(grid: SweepGrid, path) -> None:
+    """Write the bytes ``json.dump(document, fh, indent=1, sort_keys=True)``
+    would, with the rows streamed rather than run through the pure-Python
+    encoder (which ``indent`` selects)."""
     document = {
         "meta": dict(sorted(grid.meta.items())),
         "axes": [
@@ -218,11 +272,20 @@ def write_json(grid: SweepGrid, path) -> None:
             for ax in grid.axes
         ],
         "columns": list(grid.columns),
-        "rows": [[_json_safe(v) for v in row] for row in grid.rows],
+        "rows": [],
     }
+    # "rows" sorts last, so the encoded document ends with its empty list
+    head = json.dumps(document, indent=1, sort_keys=True, allow_nan=False).removesuffix("[]\n}")
+    rows = (
+        "  [\n   " + ",\n   ".join(map(_json_cell, row)) + "\n  ]" if row else "  []" for row in grid.rows
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(document, fh, indent=1, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        if grid.rows:
+            fh.write(head + "[\n")
+            fh.writelines(_blocks(rows, ",\n"))
+            fh.write("\n ]\n}\n")
+        else:
+            fh.write(head + "[]\n}\n")
 
 
 def write_grid(grid: SweepGrid, path, fmt: str) -> None:

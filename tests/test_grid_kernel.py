@@ -1,0 +1,245 @@
+"""The closed forms evaluated per point and over whole grids.
+
+The scalar path (``amplitudes``, ``observables_at``) is frozen bit for bit;
+grids run the same closed forms through numpy and must agree with it cell by
+cell within a stated bound; both paths raise typed errors at the first bad
+point; and the streaming writers reproduce the plain ``json``/per-cell
+writers byte for byte.
+"""
+
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from entscat import (
+    Axis,
+    DimensionlessPoint,
+    DomainError,
+    ModelKind,
+    NumericError,
+    amplitudes,
+    observables_at,
+    run_scan,
+    run_truncation,
+    truncated_amplitudes,
+    validate,
+    write_csv,
+    write_json,
+)
+from entscat.cli import main
+from entscat.sweep import SweepGrid, _cell, _point_from_params, _resolve_grid
+
+XY = ModelKind.SPIN_EXCHANGE
+HEIS = ModelKind.HEISENBERG_CONTACT
+ALL_COLUMNS = ("C_t", "P_t", "C_r", "P_r", "a_t", "a_r")
+FIELDS = ("concurrence_t", "probability_t", "concurrence_r", "probability_r", "ratio_a_t", "ratio_a_r")
+# Grid cells may differ from observables_at in the last digits (numpy's complex
+# loops round differently); the absolute floor covers values near P = 0.
+GRID_REL, GRID_ABS = 1e-12, 1e-15
+
+FROZEN = Path(__file__).parent / "data" / "scalar_frozen.json"
+
+
+class TestFrozenScalarPath:
+    """``repr`` of both results at 100 points (50 per model: the zero-opacity
+    corners, phase 0, folded phases, large and tiny opacities, and seeded
+    points on [0, 20] x [0, pi)), captured before the closed forms were
+    shared with the grid path."""
+
+    @pytest.mark.parametrize("entry", json.loads(FROZEN.read_text("utf-8"))["points"])
+    def test_bit_identical(self, entry):
+        pt = DimensionlessPoint(entry["omega_a"], entry["omega_b"], entry["phase"], ModelKind(entry["model"]))
+        assert repr(amplitudes(pt)) == entry["amplitudes"]
+        assert repr(observables_at(pt)) == entry["observables"]
+
+
+class TestNumericError:
+    @pytest.mark.parametrize(
+        "pt",
+        [
+            DimensionlessPoint(1e160, 1.0, 1.0, XY),  # omega^2 overflows
+            DimensionlessPoint(1.0, 2e160, 1.0, HEIS),
+            DimensionlessPoint(1e9, 1e9, 0.0, XY),  # r rounds to -1: the bounce denominator is exactly 0
+        ],
+    )
+    def test_scalar_path_raises_with_point(self, pt):
+        for fn in (amplitudes, observables_at):
+            with pytest.raises(NumericError, match="not finite") as excinfo:
+                fn(pt)
+            assert excinfo.value.point == validate(pt)
+
+    def test_truncated_raises_with_point(self):
+        pt = DimensionlessPoint(1e160, 1.0, 1.0, XY)
+        with pytest.raises(NumericError) as excinfo:
+            truncated_amplitudes(pt, 2)
+        assert excinfo.value.point == pt
+
+    def test_grid_raises_at_first_bad_cell(self):
+        axes = (Axis("omegaA", 1.0, 1e160, 2), Axis("omegaB", 1.0, 3.0, 3))
+        with pytest.raises(NumericError) as excinfo:
+            run_scan(axes, {"phase": 1.0}, HEIS)
+        assert excinfo.value.point == DimensionlessPoint(1e160, 1.0, 1.0, HEIS)
+
+    def test_truncation_grid_raises(self):
+        with pytest.raises(NumericError) as excinfo:
+            run_truncation(Axis("omegaA", 1e160, 2e160, 2), {"omegaB": 1.0, "phase": 1.0}, (0, 1))
+        assert excinfo.value.point.omega_a == 1e160
+
+    def test_cli_exits_1_with_message(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["scan", "--axis", "omegaA=1e160:2e160:2", "--omegaB", "1", "--phase", "1", "--out", str(out)]
+        assert main(argv) == 1
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cli_exits_1_under_optimize_flag(self, tmp_path):
+        # no assert guards the result, so -O (which strips asserts) changes nothing
+        out = tmp_path / "x.csv"
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "entscat", "scan", "--axis", "omegaA=1e160:2e160:2",
+             "--omegaB", "1", "--phase", "1", "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "not finite" in proc.stderr
+        assert not out.exists()
+
+
+def scalar_message(axes, fixed, model, index):
+    """The error a single-point evaluation of cell ``index`` raises."""
+    with pytest.raises(DomainError) as excinfo:
+        validate(_point_from_params({**fixed, **_cell(axes, index)}, model))
+    return str(excinfo.value)
+
+
+class TestGridValidation:
+    @pytest.mark.parametrize(
+        "axes, fixed, first_bad",
+        [
+            ((Axis("omegaA", 1.0, -1.0, 3), Axis("omegaB", 0.5, 1.0, 2)), {"phase": 1.0}, 4),  # negative
+            ((Axis("omegaA", 0.0, 1.0, 3),), {"omegaB": math.inf, "phase": 1.0}, 0),  # inf
+            ((Axis("omegaB", 0.5, 1.0, 2), Axis("omegaA", -1e308, 1e308, 3)), {"phase": 1.0}, 0),  # nan
+            ((Axis("gA", 1.0, 1e300, 2),), {"gB": 1.0, "k": 1e-10}, 1),  # g/k overflows to inf
+            ((Axis("k", 1.0, -1.0, 3),), {"gA": 1.0, "gB": 1.0}, 1),  # k = 0, then k < 0
+            ((Axis("gB", 1.0, 2.0, 2), Axis("k", 2.0, -2.0, 5)), {"gA": 1.0}, 2),
+            ((Axis("sin2kd", 0.5, 1.5, 3),), {"omegaA": 1.0, "omegaB": 1.0}, 2),
+            ((Axis("sin2kd", -0.5, 0.5, 3),), {"omegaA": 1.0, "omegaB": 1.0}, 0),
+        ],
+    )
+    def test_first_bad_cell_raises_the_scalar_message(self, axes, fixed, first_bad):
+        for model in (XY, HEIS):
+            with pytest.raises(DomainError) as excinfo:
+                run_scan(axes, fixed, model)
+            assert str(excinfo.value) == scalar_message(axes, fixed, model, first_bad)
+            for index in range(first_bad):
+                validate(_point_from_params({**fixed, **_cell(axes, index)}, model))  # earlier cells pass
+
+    @pytest.mark.parametrize("axis", [Axis("phase", -7.0, 7.0, 2001), Axis("phase", -1e3, 1e3, 20001)])
+    def test_phase_axis_folds_exactly_like_validate(self, axis):
+        _, _, folded = _resolve_grid((axis,), {"omegaA": 1.0, "omegaB": 2.0}, XY)
+        expected = [validate(DimensionlessPoint(1.0, 2.0, v, XY)).phase for v in axis.values()]
+        assert folded.tolist() == expected
+
+
+# ---------------------------------------------------------------------------
+# grid cells against observables_at at the same point
+
+# Opacities stay within [0, 20], where the bound holds: the contact model's
+# drift grows about as omega^2 near resonance (measured with numpy 2.4 on
+# x86-64: up to 7e-13 at omega = 20 and phase 1e-4, 3e-12 at omega = 50).
+OPACITY = st.one_of(st.just(0.0), st.floats(0.01, 20.0))
+COUPLING = st.one_of(st.just(0.0), st.floats(0.01, 10.0))  # with k >= 0.5, omega = g/k <= 20
+COUNT = st.integers(2, 6)
+
+
+@st.composite
+def grids(draw):
+    """A 1D or 2D grid in either unit system, with opacities on [0, 20] and
+    zero-opacity corners drawn often."""
+    system = draw(st.sampled_from(("phase", "sin2kd", "physical")))
+    if system == "physical":
+        ranges = {"gA": COUPLING, "gB": COUPLING, "k": st.floats(0.5, 10.0), "d": st.floats(0.5, 2.0)}
+        required = ("gA", "gB", "k")
+    else:
+        if system == "phase":
+            phase = st.floats(-7.0, 7.0)
+        else:
+            phase = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
+        ranges = {"omegaA": OPACITY, "omegaB": OPACITY, system: phase}
+        required = tuple(ranges)
+    names = draw(st.lists(st.sampled_from(sorted(ranges)), min_size=1, max_size=2, unique=True))
+    axes = tuple(Axis(name, draw(ranges[name]), draw(ranges[name]), draw(COUNT)) for name in names)
+    fixed = {name: draw(ranges[name]) for name in required if name not in names}
+    return axes, fixed, draw(st.sampled_from((XY, HEIS)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)  # a fixed sample: the bound has little headroom
+@given(grids())
+def test_scan_cells_match_point_evaluation(case):
+    axes, fixed, model = case
+    grid = run_scan(axes, fixed, model, ALL_COLUMNS)
+    assert len(grid.rows) == math.prod(ax.count for ax in axes)
+    for index, row in enumerate(grid.rows):
+        obs = observables_at(_point_from_params({**fixed, **_cell(axes, index)}, model))
+        expected = tuple(getattr(obs, name) for name in FIELDS)
+        assert [v is None for v in row] == [v is None for v in expected]
+        for value, ref in zip(row, expected):
+            if ref is not None:
+                assert math.isclose(value, ref, rel_tol=GRID_REL, abs_tol=GRID_ABS), (index, value, ref)
+
+
+# ---------------------------------------------------------------------------
+# the streaming writers against the plain writers they replace
+
+def reference_csv(grid):
+    lines = ["# meta: " + ";".join(f"{k}={v}" for k, v in sorted(grid.meta.items()))]
+    lines.append(",".join([ax.name for ax in grid.axes] + list(grid.columns)))
+    for index, row in enumerate(grid.rows):
+        coords = _cell(grid.axes, index)
+        cells = [repr(float(coords[ax.name])) for ax in grid.axes]
+        cells += ["" if v is None else repr(float(v)) for v in row]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(grid):
+    document = {
+        "meta": dict(sorted(grid.meta.items())),
+        "axes": [
+            {"name": ax.name, "start": ax.start, "stop": ax.stop, "count": ax.count, "spacing": ax.spacing}
+            for ax in grid.axes
+        ],
+        "columns": list(grid.columns),
+        "rows": [[None if v is None or not math.isfinite(v) else float(v) for v in row] for row in grid.rows],
+    }
+    return json.dumps(document, indent=1, sort_keys=True, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        run_scan(
+            (Axis("omegaA", 0.0, 3.0, 70), Axis("omegaB", 0.0, 2.0, 90)), {"sin2kd": 1.0}, XY, ALL_COLUMNS
+        ),
+        run_scan((Axis("phase", 0.1, 1.0, 3),), {"omegaA": 0.0, "omegaB": 0.0}, HEIS),
+        run_scan((Axis("phase", 0.1, 1.0, 3),), {"omegaA": 0.0, "omegaB": 1.0}, HEIS, ()),
+        run_truncation(Axis("k", 0.05, 10.0, 9), {"gA": 3.0, "gB": 3.0}, (0, 1, 3)),
+        SweepGrid(
+            (Axis("omegaA", 0.0, 1.0, 3),), ("x", "y"),
+            ((1, 0.5), (math.inf, None), (-math.inf, math.nan)), {"tool": "t", "note": "ü"},
+        ),
+    ],
+    ids=["2d-multiblock", "undefined", "no-columns", "truncation", "mixed-values"],
+)
+def test_writers_match_reference_bytes(grid, tmp_path):
+    write_csv(grid, tmp_path / "g.csv")
+    write_json(grid, tmp_path / "g.json")
+    assert (tmp_path / "g.csv").read_bytes() == reference_csv(grid).encode("utf-8")
+    assert (tmp_path / "g.json").read_bytes() == reference_json(grid).encode("utf-8")
