@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from entscat import Axis, ModelKind, optimal_concurrence, write_csv
-from entscat.sweep import SweepGrid, _meta
+from entscat.sweep import make_grid
 
 OUT = Path(__file__).resolve().parent.parent / "out"
 
@@ -27,9 +27,8 @@ def run(out_dir=OUT):
         for omega_b in axes[1].values():
             report = optimal_concurrence(omega_a, omega_b)
             rows.append((report.concurrence, report.probability, report.phase_choice))
-    meta = _meta(ModelKind.SPIN_EXCHANGE, {}, axes, "optimal-map")
-    grid = SweepGrid(axes, ("C_opt", "P_opt", "sin2kd_opt"), tuple(rows), meta)
-    write_csv(grid, path)
+    columns = ("C_opt", "P_opt", "sin2kd_opt")
+    write_csv(make_grid("optimal-map", ModelKind.SPIN_EXCHANGE, axes, {}, columns, rows), path)
     return [path]
 
 

@@ -19,7 +19,6 @@ from .closedform import (
 )
 from .core import (
     AmplitudeSet,
-    Channel,
     DimensionlessPoint,
     DomainError,
     ModelKind,
@@ -30,14 +29,12 @@ from .core import (
     SiteCoefficients,
     UnsupportedModelError,
     ValidationError,
-    from_dimensionless,
     to_dimensionless,
     validate,
 )
 from .matching import (
     MatchingSystem,
     build_matching_system,
-    continuity_mismatch,
     solve_amplitudes_numeric,
     solve_system,
 )
@@ -55,20 +52,18 @@ from .optimize import (
     Regime,
     UnitPhase,
     find_global_p_opt,
-    golden_section_maximize,
     optimal_concurrence,
     probability_at_resonance,
     reference_optimum_omega_b,
     resonance_curve_probability,
     unit_concurrence_phase,
 )
-from .sweep import Axis, SweepGrid, run_scan, run_truncation, write_csv, write_grid, write_json
-from .verify import VerificationReport, run_verification, sample_points
+from .sweep import Axis, SweepGrid, run_scan, run_truncation, write_csv, write_json
+from .verify import VerificationReport, run_verification
 
 __all__ = [
     "AmplitudeSet",
     "Axis",
-    "Channel",
     "DimensionlessPoint",
     "DomainError",
     "MatchingSystem",
@@ -90,11 +85,8 @@ __all__ = [
     "amplitudes",
     "build_matching_system",
     "concurrence_and_ratio",
-    "continuity_mismatch",
     "dressed_coefficients",
     "find_global_p_opt",
-    "from_dimensionless",
-    "golden_section_maximize",
     "interaction_time_map",
     "model1_probability",
     "model1_ratio",
@@ -108,7 +100,6 @@ __all__ = [
     "run_scan",
     "run_truncation",
     "run_verification",
-    "sample_points",
     "site_coefficients",
     "solve_amplitudes_numeric",
     "solve_system",
@@ -117,6 +108,5 @@ __all__ = [
     "unit_concurrence_phase",
     "validate",
     "write_csv",
-    "write_grid",
     "write_json",
 ]

@@ -14,20 +14,11 @@ Exit codes: 0 success, 1 runtime or verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import __version__
 from .closedform import amplitudes
-from .core import (
-    DimensionlessPoint,
-    DomainError,
-    ModelKind,
-    NumericError,
-    PhysicalPoint,
-    to_dimensionless,
-    validate,
-)
+from .core import DomainError, ModelKind, NumericError, validate
 from .observables import observables_at
 from .optimize import (
     find_global_p_opt,
@@ -41,6 +32,7 @@ from .sweep import (
     DIMENSIONLESS_NAMES,
     PHYSICAL_NAMES,
     Axis,
+    resolve_point,
     run_scan,
     run_truncation,
     write_grid,
@@ -48,21 +40,22 @@ from .sweep import (
 from .verify import run_verification
 
 _MODELS = {"xy": ModelKind.SPIN_EXCHANGE, "heis": ModelKind.HEISENBERG_CONTACT}
-_PARAM_FLAGS = ("gA", "gB", "k", "d", "omegaA", "omegaB", "phase", "sin2kd")
 
 
-def _add_common(parser: argparse.ArgumentParser, model_default: str | None = "xy") -> None:
-    parser.add_argument("--model", choices=sorted(_MODELS), default=model_default,
-                        help="coupling model" + (" (default: %(default)s)" if model_default else " (default: all)"))
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="file output format (default: csv)")
-    parser.add_argument("--out", help="output file path (scan/truncate)")
-    parser.add_argument("--seed", type=int, default=7, help="seed for randomized commands")
+def _add_model(parser: argparse.ArgumentParser, default: str | None = "xy") -> None:
+    parser.add_argument("--model", choices=sorted(_MODELS), default=default,
+                        help="coupling model" + (" (default: %(default)s)" if default else " (default: all)"))
 
 
 def _add_params(parser: argparse.ArgumentParser) -> None:
-    for flag in _PARAM_FLAGS:
-        parser.add_argument(f"--{flag}", type=float, default=None)
+    for name in PHYSICAL_NAMES + DIMENSIONLESS_NAMES:
+        parser.add_argument(f"--{name}", type=float, default=None)
+
+
+def _add_output(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="file output format (default: csv)")
+    parser.add_argument("--out", required=True, help="output file path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,34 +67,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_point = sub.add_parser("point", help="evaluate one parameter point")
-    _add_common(p_point)
+    _add_model(p_point)
     _add_params(p_point)
     p_point.add_argument("--side", choices=("t", "r", "both"), default="both",
                          help="detection side(s) to print (default: both)")
 
     p_scan = sub.add_parser("scan", help="1D/2D observable sweep to a file")
-    _add_common(p_scan)
+    _add_model(p_scan)
     _add_params(p_scan)
+    _add_output(p_scan)
     p_scan.add_argument("--axis", action="append", required=True, metavar="NAME=START:STOP:COUNT",
                         help="sweep axis, repeatable once for a 2D grid")
     p_scan.add_argument("--columns", default=",".join(DEFAULT_COLUMNS),
                         help="comma list of observable columns (default: %(default)s)")
 
     p_trunc = sub.add_parser("truncate", help="bounce-truncated observables along an axis")
-    _add_common(p_trunc)
+    _add_model(p_trunc)
     _add_params(p_trunc)
+    _add_output(p_trunc)
     p_trunc.add_argument("--axis", required=True, metavar="NAME=START:STOP:COUNT")
     p_trunc.add_argument("--n", required=True, metavar="N[,N...]",
                          help="comma list of bounce counts to keep")
 
-    p_opt = sub.add_parser("optimize", help="optimality reports")
-    _add_common(p_opt)
+    p_opt = sub.add_parser("optimize", help="optimality reports (exchange model)")
     p_opt.add_argument("target", choices=("popt", "report"))
     p_opt.add_argument("--omegaA", type=float, default=None)
     p_opt.add_argument("--omegaB", type=float, default=None)
 
     p_verify = sub.add_parser("verify", help="closed-form vs numeric cross-validation")
-    _add_common(p_verify, model_default=None)
+    _add_model(p_verify, default=None)
+    p_verify.add_argument("--seed", type=int, default=7, help="sampling seed (default: %(default)s)")
     p_verify.add_argument("--samples", type=int, default=1000)
     p_verify.add_argument("--tol", type=float, default=1e-10,
                           help="tolerance for solver-route checks (default: 1e-10)")
@@ -110,39 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _collect_params(args: argparse.Namespace) -> dict[str, float]:
-    return {f: getattr(args, f) for f in _PARAM_FLAGS if getattr(args, f) is not None}
-
-
-def _point_from_args(parser, args) -> DimensionlessPoint:
-    params = _collect_params(args)
-    model = _MODELS[args.model]
-    physical = set(params) & set(PHYSICAL_NAMES)
-    dimensionless = set(params) & set(DIMENSIONLESS_NAMES)
-    if physical and dimensionless:
-        parser.error(f"give one unit system, not both: {sorted(physical)} and {sorted(dimensionless)}")
-    try:
-        if physical:
-            missing = {"gA", "gB", "k"} - set(params)
-            if missing:
-                parser.error(f"physical point needs --gA --gB --k; missing {sorted(missing)}")
-            p = PhysicalPoint(params["gA"], params["gB"], params["k"], params.get("d", 1.0))
-            return to_dimensionless(p, model)
-        if not dimensionless:
-            parser.error("give a parameter point (--gA/--gB/--k or --omegaA/--omegaB with --phase/--sin2kd)")
-        missing = {"omegaA", "omegaB"} - set(params)
-        if missing:
-            parser.error(f"dimensionless point needs --omegaA --omegaB; missing {sorted(missing)}")
-        if ("phase" in params) == ("sin2kd" in params):
-            parser.error("give exactly one of --phase or --sin2kd")
-        if "phase" in params:
-            phase = params["phase"]
-        else:
-            if not 0.0 <= params["sin2kd"] <= 1.0:
-                parser.error("--sin2kd must lie in [0, 1]")
-            phase = math.asin(math.sqrt(params["sin2kd"]))
-        return DimensionlessPoint(params["omegaA"], params["omegaB"], phase, model)
-    except DomainError as exc:
-        parser.error(str(exc))
+    return {f: getattr(args, f) for f in PHYSICAL_NAMES + DIMENSIONLESS_NAMES if getattr(args, f) is not None}
 
 
 def _fmt(value) -> str:
@@ -152,10 +115,7 @@ def _fmt(value) -> str:
 
 
 def _cmd_point(parser, args) -> int:
-    try:
-        pt = validate(_point_from_args(parser, args))
-    except DomainError as exc:
-        parser.error(str(exc))
+    pt = validate(resolve_point(_collect_params(args), _MODELS[args.model]))
     amps = amplitudes(pt)
     obs = observables_at(pt)
     lines = [
@@ -193,9 +153,7 @@ def _parse_axis(parser, text: str) -> Axis:
         parser.error(f"bad --axis {text!r}: {exc}")
 
 
-def _write_checked(parser, grid, args) -> int:
-    if not args.out:
-        parser.error("--out PATH is required for file-producing commands")
+def _write(grid, args) -> int:
     try:
         write_grid(grid, args.out, args.format)
     except OSError as exc:
@@ -206,14 +164,8 @@ def _write_checked(parser, grid, args) -> int:
 
 def _cmd_scan(parser, args) -> int:
     axes = tuple(_parse_axis(parser, text) for text in args.axis)
-    if len(axes) > 2:
-        parser.error("at most two --axis flags")
     columns = tuple(c.strip() for c in args.columns.split(",") if c.strip())
-    try:
-        grid = run_scan(axes, _collect_params(args), _MODELS[args.model], columns)
-    except DomainError as exc:
-        parser.error(str(exc))
-    return _write_checked(parser, grid, args)
+    return _write(run_scan(axes, _collect_params(args), _MODELS[args.model], columns), args)
 
 
 def _cmd_truncate(parser, args) -> int:
@@ -224,13 +176,7 @@ def _cmd_truncate(parser, args) -> int:
         orders = tuple(int(tok) for tok in args.n.split(","))
     except ValueError:
         parser.error(f"bad --n {args.n!r}: expected comma-separated integers")
-    if any(n < 0 for n in orders):
-        parser.error("bounce counts must be >= 0")
-    try:
-        grid = run_truncation(axis, _collect_params(args), orders)
-    except DomainError as exc:
-        parser.error(str(exc))
-    return _write_checked(parser, grid, args)
+    return _write(run_truncation(axis, _collect_params(args), orders), args)
 
 
 def _cmd_optimize(parser, args) -> int:
@@ -250,10 +196,7 @@ def _cmd_optimize(parser, args) -> int:
         return 0
     if args.omegaA is None or args.omegaB is None:
         parser.error("optimize report needs --omegaA and --omegaB")
-    try:
-        report = optimal_concurrence(args.omegaA, args.omegaB)
-    except DomainError as exc:
-        parser.error(str(exc))
+    report = optimal_concurrence(args.omegaA, args.omegaB)
     phase = unit_concurrence_phase(args.omegaA, args.omegaB)
     lines = [
         f"omega_a: {report.omega_a!r}",

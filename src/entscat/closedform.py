@@ -43,6 +43,7 @@ from .core import (
     NumericError,
     SiteCoefficients,
     UnsupportedModelError,
+    check_opacity,
     validate,
 )
 
@@ -83,10 +84,7 @@ def site_coefficients(omega: float, model: ModelKind) -> SiteCoefficients:
     Both models satisfy |t|^2 + |r|^2 + 2|f|^2 = 1 and
     |t_same|^2 + |r_same|^2 = 1 exactly.
     """
-    if not (isinstance(omega, (int, float)) and math.isfinite(omega)):
-        raise DomainError(f"omega must be finite, got {omega!r}")
-    if omega < 0.0:
-        raise DomainError(f"omega must be non-negative, got {omega!r}")
+    check_opacity("omega", omega)
     return SiteCoefficients(*map(complex, _site_terms(omega, model)))
 
 
@@ -121,25 +119,45 @@ def dressed_coefficients(pt: DimensionlessPoint):
     return (a[0] + sigma_a, a[1] + sigma_a, b[0] + sigma_b, b[1] + sigma_b, sigma_a, sigma_b)
 
 
-def _closed_forms(omega_a, omega_b, ea, em, e2, model):
+def _bounce_sum(x, q, terms):
+    """x (1 + q + ... + q^(terms-1)): the first ``terms`` terms of the bounce
+    series of x, each bounce a factor q = r_A r_B E^2; all of it, x/(1 - q),
+    when ``terms`` is None."""
+    if terms is None:
+        return x / (1.0 - q)
+    total = 0.0
+    for _ in range(terms):
+        total = 1.0 + q * total
+    return x * total
+
+
+def _closed_forms(omega_a, omega_b, ea, em, e2, model, bounces=None):
     """The six two-site amplitudes (t_noflip, r_noflip, t_flipb, r_flipb,
     t_flipa, r_flipa) at opacities ``omega_a``, ``omega_b`` with the phase
-    factors ``ea`` = E, ``em`` = 1/E and ``e2`` = E^2.
+    factors ``ea`` = E, ``em`` = 1/E and ``e2`` = E^2, keeping at most
+    ``bounces`` bounces (exchange model only), or all of them when None.
 
     This is the only statement of the two-site closed forms.  It uses
     ``+ - * /`` only, so :func:`amplitudes` runs it on Python complex scalars
     and :func:`grid_amplitudes` on broadcast numpy arrays.
     """
+    if bounces is not None:
+        if model is not ModelKind.SPIN_EXCHANGE:
+            raise UnsupportedModelError("bounce truncation is defined for the exchange model only")
+        if not isinstance(bounces, int) or bounces < 0:
+            raise DomainError(f"bounce count must be a non-negative integer, got {bounces!r}")
     a = _site_terms(omega_a, model)
     b = _site_terms(omega_b, model)
     a_t, a_r, a_f, a_ts, a_rs = a
     b_t, b_r, b_f, b_ts, b_rs = b
     if model is ModelKind.SPIN_EXCHANGE:
-        den = 1.0 - a_r * b_r * e2
-        t_nf = a_t * b_t * ea / den
-        r_nf = a_r + a_t * a_t * b_r * e2 / den
-        t_fb = a_t * b_f * ea / den
-        t_fa = (1.0 + a_t * b_r * e2 / den) * a_f * ea
+        # paths that leave through B bounce up to n times, those back through A up to n - 1
+        q = a_r * b_r * e2
+        through_b = None if bounces is None else bounces + 1
+        t_nf = _bounce_sum(a_t * b_t * ea, q, through_b)
+        r_nf = a_r + _bounce_sum(a_t * a_t * b_r * e2, q, bounces)
+        t_fb = _bounce_sum(a_t * b_f * ea, q, through_b)
+        t_fa = (1.0 + _bounce_sum(a_t * b_r * e2, q, bounces)) * a_f * ea
         return t_nf, r_nf, t_fb, t_fb * ea, t_fa, t_fa * em
 
     sigma_a, sigma_b = _self_energies(a, b, e2)
@@ -158,33 +176,6 @@ def _closed_forms(omega_a, omega_b, ea, em, e2, model):
     return t_nf, r_nf, t_fb, r_fb, t_fa, r_fa
 
 
-def _partial_geometric(q, last_index: int):
-    """Sum of q^j for j = 0..last_index; zero when last_index < 0."""
-    if last_index < 0:
-        return complex(0.0)
-    total = complex(1.0)
-    for _ in range(last_index):
-        total = 1.0 + q * total
-    return total
-
-
-def _truncated_forms(omega_a, omega_b, ea, em, e2, n):
-    """Exchange-model counterpart of :func:`_closed_forms` with at most
-    ``n`` bounces kept (see :func:`truncated_amplitudes`)."""
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"bounce count must be a non-negative integer, got {n!r}")
-    a_t, a_r, a_f, _, _ = _site_terms(omega_a, ModelKind.SPIN_EXCHANGE)
-    b_t, b_r, b_f, _, _ = _site_terms(omega_b, ModelKind.SPIN_EXCHANGE)
-    q = b_r * a_r * e2
-    full = _partial_geometric(q, n)        # j = 0..n
-    clipped = _partial_geometric(q, n - 1)  # j = 0..n-1
-    t_nf = a_t * b_t * ea * full
-    r_nf = a_r + a_t * a_t * b_r * e2 * clipped
-    t_fb = a_t * b_f * ea * full
-    t_fa = a_f * ea * (1.0 + a_t * b_r * e2 * clipped)
-    return t_nf, r_nf, t_fb, t_fb * ea, t_fa, t_fa * em
-
-
 def _not_finite(pt: DimensionlessPoint) -> NumericError:
     return NumericError(
         f"amplitudes are not finite in float64 at omega_a={pt.omega_a!r}, "
@@ -193,14 +184,13 @@ def _not_finite(pt: DimensionlessPoint) -> NumericError:
     )
 
 
-def _at_point(forms, pt: DimensionlessPoint, last):
-    """Run ``forms`` (:func:`_closed_forms` or :func:`_truncated_forms`) at
-    one validated point with cmath phase factors; ``last`` is its final
-    argument.  Raises NumericError unless all six amplitudes are finite."""
+def _at_point(pt: DimensionlessPoint, bounces=None):
+    """:func:`_closed_forms` at one validated point with cmath phase
+    factors.  Raises NumericError unless all six amplitudes are finite."""
     phase = pt.phase
     try:
-        amps = forms(pt.omega_a, pt.omega_b, cmath.exp(1j * phase), cmath.exp(-1j * phase),
-                     cmath.exp(2j * phase), last)
+        amps = _closed_forms(pt.omega_a, pt.omega_b, cmath.exp(1j * phase), cmath.exp(-1j * phase),
+                             cmath.exp(2j * phase), pt.model, bounces)
         # |amplitude| <= 1, so the sum is finite exactly when every term is
         finite = cmath.isfinite(sum(amps))
     except ZeroDivisionError:  # a denominator rounded to exactly 0 (numpy gives inf there)
@@ -219,7 +209,7 @@ def amplitudes(pt: DimensionlessPoint) -> AmplitudeSet:
     that is not finite raises NumericError with the point attached.
     """
     pt = validate(pt)
-    return AmplitudeSet(*_at_point(_closed_forms, pt, pt.model))
+    return AmplitudeSet(*_at_point(pt))
 
 
 def truncated_amplitudes(pt: DimensionlessPoint, n: int) -> TruncatedAmplitudeSet:
@@ -233,10 +223,7 @@ def truncated_amplitudes(pt: DimensionlessPoint, n: int) -> TruncatedAmplitudeSe
     The contact model is rejected: its nested series have no single
     bounce-count convention, so no truncation is defined for it here.
     """
-    pt = validate(pt)
-    if pt.model is not ModelKind.SPIN_EXCHANGE:
-        raise UnsupportedModelError("bounce truncation is defined for the exchange model only")
-    return TruncatedAmplitudeSet(*_at_point(_truncated_forms, pt, n), bounce_order=n)
+    return TruncatedAmplitudeSet(*_at_point(validate(pt), n), bounce_order=n)
 
 
 def grid_amplitudes(omega_a, omega_b, phase, model: ModelKind, bounces: int | None = None):
@@ -252,10 +239,7 @@ def grid_amplitudes(omega_a, omega_b, phase, model: ModelKind, bounces: int | No
     """
     with np.errstate(all="ignore"):
         factors = np.exp(1j * phase), np.exp(-1j * phase), np.exp(2j * phase)
-        if bounces is None:
-            amps = _closed_forms(omega_a, omega_b, *factors, model)
-        else:
-            amps = _truncated_forms(omega_a, omega_b, *factors, bounces)
+        amps = _closed_forms(omega_a, omega_b, *factors, model, bounces)
         bad = ~np.isfinite(sum(amps))
     if bad.any():
         cells = np.broadcast_arrays(omega_a, omega_b, phase, bad)
@@ -274,6 +258,5 @@ def interaction_time_map(omega: float) -> tuple[float, float]:
     pi/2 rotation needs omega -> infinity, where the transmission
     probability vanishes: the complete flip is unreachable.
     """
-    if not (isinstance(omega, (int, float)) and math.isfinite(omega)) or omega < 0.0:
-        raise DomainError(f"omega must be finite and non-negative, got {omega!r}")
+    check_opacity("omega", omega)
     return math.atan(omega), 1.0 / (1.0 + omega * omega)

@@ -30,7 +30,7 @@ class DomainError(ValueError):
 
 
 class ValidationError(DomainError):
-    """A dimensionless parameter point failed validation."""
+    """A dimensionless parameter failed validation."""
 
 
 class UnsupportedModelError(ValueError):
@@ -56,19 +56,6 @@ class ModelKind(Enum):
 
     SPIN_EXCHANGE = "xy"
     HEISENBERG_CONTACT = "heis"
-
-
-class Channel(Enum):
-    """Open spin channels, labelled (X; A B).  Exactly two spins are up in
-    each, which is why only these three couple to the incident state."""
-
-    NO_FLIP = ("down", "up", "up")
-    FLIP_B = ("up", "up", "down")
-    FLIP_A = ("up", "down", "up")
-
-    @property
-    def up_count(self) -> int:
-        return sum(1 for s in self.value if s == "up")
 
 
 class Side(Enum):
@@ -164,9 +151,11 @@ class AmplitudeSet:
 class ObservableSet:
     """Concurrence, amplitude ratio, and detection probability per side.
 
-    Concurrence and ratio are ``None`` when nothing can be detected on that
-    side (both flip amplitudes vanish), never a silent 0.  The ratio may be
-    ``inf`` when only the A-flip branch survives.
+    Concurrence and ratio are ``None`` exactly when both flip amplitudes of
+    that side are 0, never a silent 0.  The probability is their squared
+    norm and can underflow to 0.0 while C is still defined (at opacities
+    near 1e-300, P = 0.0 with C = 1.0).  The ratio may be ``inf`` when only
+    the A-flip branch survives.
     """
 
     concurrence_t: float | None
@@ -177,17 +166,26 @@ class ObservableSet:
     ratio_a_r: float | None
 
 
+def opacity_ok(omega):
+    """Whether ``omega`` is a finite, non-negative opacity, the domain of
+    every opacity.  Elementwise on numpy arrays."""
+    return (omega >= 0.0) & (omega < math.inf)
+
+
+def check_opacity(name: str, omega: float) -> None:
+    """Raise ValidationError unless ``omega`` passes :func:`opacity_ok`."""
+    if not opacity_ok(omega):
+        raise ValidationError(f"{name} must be finite and non-negative, got {omega!r}")
+
+
 def validate(pt: DimensionlessPoint) -> DimensionlessPoint:
     """Check domains and fold the phase into the canonical window [0, pi).
 
     Raises ValidationError for non-finite or negative opacities and for a
     non-finite phase.  Returns the point unchanged when already canonical.
     """
-    for name, value in (("omega_a", pt.omega_a), ("omega_b", pt.omega_b)):
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value!r}")
-        if value < 0.0:
-            raise ValidationError(f"{name} must be non-negative, got {value!r}")
+    check_opacity("omega_a", pt.omega_a)
+    check_opacity("omega_b", pt.omega_b)
     if not math.isfinite(pt.phase):
         raise ValidationError(f"phase must be finite, got {pt.phase!r}")
     if 0.0 <= pt.phase < math.pi:
@@ -216,17 +214,3 @@ def to_dimensionless(p: PhysicalPoint, model: ModelKind) -> DimensionlessPoint:
             raise DomainError(f"{name} must be a finite non-negative coupling, got {g!r}")
     return DimensionlessPoint(p.g_a / p.k, p.g_b / p.k, math.pi * p.k * p.d, model)
 
-
-def from_dimensionless(pt: DimensionlessPoint, d: float = 1.0) -> PhysicalPoint:
-    """Inverse unit conversion at separation ``d`` (in unit lengths).
-
-    Uses the raw (unfolded) phase, so it round-trips with
-    :func:`to_dimensionless` exactly as long as the phase is positive.
-    """
-    phase = pt.phase if pt.phase_original is None else pt.phase_original
-    if not (math.isfinite(d) and d > 0.0):
-        raise DomainError(f"d must be positive and finite, got {d!r}")
-    if not phase > 0.0:
-        raise DomainError(f"phase must be positive to recover a momentum, got {phase!r}")
-    k = phase / (math.pi * d)
-    return PhysicalPoint(pt.omega_a * k, pt.omega_b * k, k, d)

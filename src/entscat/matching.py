@@ -28,16 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    AmplitudeSet,
-    Channel,
-    DimensionlessPoint,
-    ModelKind,
-    NumericError,
-    validate,
-)
+from .core import AmplitudeSet, DimensionlessPoint, ModelKind, NumericError, validate
 
-CHANNELS = (Channel.NO_FLIP, Channel.FLIP_B, Channel.FLIP_A)
 COEFFICIENT_NAMES = ("R", "A+", "A-", "T")
 
 # Exchange coupling swaps the mediator spin with the site spin, connecting
@@ -61,12 +53,11 @@ _INCIDENT = (1.0, 0.0, 0.0)
 
 @dataclass
 class MatchingSystem:
-    """Dense 12x12 system M x = b; ``labels[i]`` names unknown x[i] as a
-    (channel, region-coefficient) pair.  Treat the arrays as read-only."""
+    """Dense 12x12 system M x = b; unknown x[4c + i] is coefficient
+    COEFFICIENT_NAMES[i] of channel c.  Treat the arrays as read-only."""
 
     matrix: np.ndarray
     rhs: np.ndarray
-    labels: tuple[tuple[Channel, str], ...]
 
 
 def _col(channel_index: int, coefficient: str) -> int:
@@ -116,8 +107,7 @@ def build_matching_system(pt: DimensionlessPoint) -> MatchingSystem:
         for cp in range(3):
             matrix[row, _col(cp, "T")] -= 2.0 * pt.omega_b * m_b[c, cp]
 
-    labels = tuple((CHANNELS[c], name) for c in range(3) for name in COEFFICIENT_NAMES)
-    return MatchingSystem(matrix=matrix, rhs=rhs, labels=labels)
+    return MatchingSystem(matrix=matrix, rhs=rhs)
 
 
 def solve_system(system: MatchingSystem, point: DimensionlessPoint | None = None) -> np.ndarray:
@@ -145,21 +135,3 @@ def solve_amplitudes_numeric(pt: DimensionlessPoint) -> AmplitudeSet:
         r_flipa=complex(solution[_col(2, "R")]),
     )
 
-
-def continuity_mismatch(pt: DimensionlessPoint) -> float:
-    """Re-evaluate the solved wave functions at both sites and report the
-    worst continuity violation (a post-solve self-consistency probe)."""
-    pt = validate(pt)
-    solution = solve_system(build_matching_system(pt), pt)
-    ea = cmath.exp(1j * pt.phase)
-    em = cmath.exp(-1j * pt.phase)
-    worst = 0.0
-    for c in range(3):
-        r = solution[_col(c, "R")]
-        ap = solution[_col(c, "A+")]
-        am = solution[_col(c, "A-")]
-        t = solution[_col(c, "T")]
-        at_a = abs((_INCIDENT[c] + r) - (ap + am))
-        at_b = abs((ap * ea + am * em) - t)
-        worst = max(worst, at_a, at_b)
-    return worst

@@ -42,23 +42,29 @@ def post_selected_state(amps: AmplitudeSet, side: Side) -> PostSelectedState:
     return PostSelectedState(amps.r_flipb, amps.r_flipa, side)
 
 
+def concurrence(small, large):
+    """Concurrence 2m/(1 + m^2), m = small/large, of a two-term state whose
+    weights have magnitudes ``small`` <= ``large`` (the symmetric form
+    2|xy|/(|x|^2 + |y|^2) divided through by the larger weight squared, so
+    nothing underflows).  Elementwise on numpy arrays."""
+    m = small / large
+    return 2.0 * m / (1.0 + m * m)
+
+
 def _concurrence_ratio(x: float, y: float) -> tuple[float | None, float | None]:
     if x == 0.0 and y == 0.0:
         return None, None
-    scale = max(x, y)  # keeps the squares from underflowing for tiny weights
-    xs, ys = x / scale, y / scale
-    concurrence = 2.0 * xs * ys / (xs * xs + ys * ys)
-    ratio = math.inf if x == 0.0 else y / x
-    return concurrence, ratio
+    c = concurrence(x, y) if x <= y else concurrence(y, x)
+    return c, math.inf if x == 0.0 else y / x
 
 
 def concurrence_and_ratio(state: PostSelectedState) -> tuple[float | None, float | None]:
     """Concurrence C and weight ratio a = |w_downup / w_updown|.
 
-    C is computed in the symmetric form 2|xy|/(|x|^2+|y|^2), which needs no
-    infinity arithmetic when one weight vanishes (a is reported as inf
-    then).  Both weights zero means nothing is ever detected; that returns
-    (None, None) rather than a misleading 0.
+    C comes from :func:`concurrence`, which needs no infinity arithmetic
+    when one weight vanishes (a is reported as inf then).  Both weights
+    zero means nothing is ever detected; that returns (None, None) rather
+    than a misleading 0.
     """
     return _concurrence_ratio(abs(state.coeff_updown), abs(state.coeff_downup))
 
@@ -91,18 +97,13 @@ def side_arrays(w_updown, w_downup):
     """Array form of :func:`concurrence_and_ratio` and :func:`probability`
     for one side, from arrays of the flip amplitudes.
 
-    Returns (C, P, a) arrays, with C and a NaN where nothing is detected
-    (both weights zero); that is the only place either is NaN.
+    Returns (C, P, a) arrays, with C and a NaN exactly where both weights
+    are 0 (0/0); a is inf where only the A-flip weight survives.
     """
     x = np.abs(w_updown)
     y = np.abs(w_downup)
-    undefined = (x == 0.0) & (y == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.maximum(x, y)  # keeps the squares from underflowing for tiny weights
-        xs, ys = x / scale, y / scale
-        concurrence = np.where(undefined, np.nan, 2.0 * xs * ys / (xs * xs + ys * ys))
-        ratio = np.where(undefined, np.nan, np.where(x == 0.0, np.inf, y / x))
-    return concurrence, x * x + y * y, ratio
+        return concurrence(np.minimum(x, y), np.maximum(x, y)), x * x + y * y, y / x
 
 
 def model1_probability(omega_a, omega_b, sin2_kd):

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .core import DomainError
-from .observables import model1_probability, model1_ratio
+from .core import check_opacity
+from .observables import concurrence, model1_probability, model1_ratio
 
 
 class Regime(Enum):
@@ -52,12 +52,6 @@ class UnitPhase(NamedTuple):
     reason: str | None
 
 
-def _check_omegas(omega_a: float, omega_b: float) -> None:
-    for name, value in (("omega_a", omega_a), ("omega_b", omega_b)):
-        if not math.isfinite(value) or value < 0.0:
-            raise DomainError(f"{name} must be finite and non-negative, got {value!r}")
-
-
 def probability_at_resonance(omega_a, omega_b):
     """Detection probability at the resonant phase sin^2(kd) = 1.
 
@@ -75,7 +69,8 @@ def unit_concurrence_phase(omega_a: float, omega_b: float) -> UnitPhase:
 
     Feasible exactly when omega_a/omega_b <= 1 <= (omega_a/omega_b)(1 + 2 omega_b^2).
     """
-    _check_omegas(omega_a, omega_b)
+    check_opacity("omega_a", omega_a)
+    check_opacity("omega_b", omega_b)
     if omega_a == 0.0:
         return UnitPhase(None, "flip amplitude of A vanishes (omega_a = 0)")
     if omega_a > omega_b:
@@ -96,15 +91,6 @@ def unit_concurrence_phase(omega_a: float, omega_b: float) -> UnitPhase:
     return UnitPhase(min(max(s, 0.0), 1.0), None)
 
 
-def _concurrence_from_ratio(ratio: float) -> float:
-    if math.isnan(ratio):
-        return 0.0
-    if ratio > 1.0:  # evaluate through 1/ratio so huge ratios cannot overflow
-        inv = 1.0 / ratio
-        return 2.0 * inv / (1.0 + inv * inv)
-    return 2.0 * ratio / (1.0 + ratio * ratio)
-
-
 def optimal_concurrence(omega_a: float, omega_b: float) -> OptimalityReport:
     """Best concurrence over all phases at fixed couplings.
 
@@ -113,7 +99,8 @@ def optimal_concurrence(omega_a: float, omega_b: float) -> OptimalityReport:
     right region the anti-resonant one.  The degenerate corners (either
     opacity zero) report C = 0: one or both flip branches are empty there.
     """
-    _check_omegas(omega_a, omega_b)
+    check_opacity("omega_a", omega_a)
+    check_opacity("omega_b", omega_b)
     lower = omega_b / (1.0 + 2.0 * omega_b * omega_b) if omega_b > 0.0 else 0.0
     if omega_a > 0.0 and lower <= omega_a <= omega_b:
         unit = unit_concurrence_phase(omega_a, omega_b)
@@ -133,17 +120,21 @@ def optimal_concurrence(omega_a: float, omega_b: float) -> OptimalityReport:
     else:
         s, regime = 0.0, Regime.RIGHT_REGION
     ratio = 0.0 if omega_a == 0.0 else model1_ratio(omega_a, omega_b, s)
+    if math.isnan(ratio):  # omega_a/omega_b underflowed to 0 against an overflowed root
+        ratio = 0.0
     return OptimalityReport(
         omega_a,
         omega_b,
         s,
-        _concurrence_from_ratio(ratio),
+        concurrence(ratio, 1.0) if ratio <= 1.0 else concurrence(1.0, ratio),
         model1_probability(omega_a, omega_b, s),
         regime,
     )
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+P_OPT_BRACKET = (0.1, 10.0)  # omega_b range searched by find_global_p_opt
+_P_OPT_TOL = 1e-10
 
 
 def golden_section_maximize(
@@ -197,18 +188,14 @@ def reference_optimum_omega_b() -> float:
     return math.sqrt((1.0 + (37.0 - s) ** (1.0 / 3.0) + (37.0 + s) ** (1.0 / 3.0)) / 6.0)
 
 
-def find_global_p_opt(bracket: tuple[float, float] = (0.1, 10.0), tol: float = 1e-10):
+def find_global_p_opt():
     """Maximize the detection probability subject to unit concurrence.
 
-    Searches the resonance curve with golden section on the compact bracket
-    (whose endpoints are checked to slope inward, so the maximum must be
+    Searches the resonance curve with golden section on the compact
+    P_OPT_BRACKET (whose endpoints slope inward, so the maximum is
     interior), then polishes the vertex.  Returns (omega_a, omega_b, p).
     """
-    lo, hi = bracket
-    probe = 1e-6
-    assert resonance_curve_probability(lo + probe) > resonance_curve_probability(lo)
-    assert resonance_curve_probability(hi - probe) > resonance_curve_probability(hi)
-    omega_b = golden_section_maximize(resonance_curve_probability, lo, hi, tol)
+    omega_b = golden_section_maximize(resonance_curve_probability, *P_OPT_BRACKET, _P_OPT_TOL)
     omega_b = _parabolic_refine(resonance_curve_probability, omega_b)
     omega_a = omega_b / (1.0 + 2.0 * omega_b * omega_b)
     return omega_a, omega_b, probability_at_resonance(omega_a, omega_b)

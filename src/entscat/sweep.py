@@ -23,6 +23,7 @@ from .core import (
     DomainError,
     ModelKind,
     PhysicalPoint,
+    opacity_ok,
     to_dimensionless,
     validate,
 )
@@ -43,11 +44,8 @@ class Axis:
     start: float
     stop: float
     count: int
-    spacing: str = "linear"
 
     def __post_init__(self):
-        if self.spacing != "linear":
-            raise DomainError(f"unsupported spacing {self.spacing!r}")
         if self.count < 2:
             raise DomainError(f"axis {self.name!r} needs count >= 2, got {self.count}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
@@ -63,7 +61,11 @@ class Axis:
 @dataclass(frozen=True)
 class SweepGrid:
     """Axis definitions, observable columns, and the row-major value table.
-    Undefined entries (nothing detectable, P = 0) are None, never 0."""
+
+    An undefined entry is None, never 0: C and a are undefined exactly where
+    both flip amplitudes of that side are 0.  P can underflow to 0.0 where C
+    is still defined (opacities near 1e-300).
+    """
 
     axes: tuple[Axis, ...]
     columns: tuple[str, ...]
@@ -71,7 +73,10 @@ class SweepGrid:
     meta: dict[str, str]
 
 
-def _point_from_params(params: dict[str, float], model: ModelKind) -> DimensionlessPoint:
+def resolve_point(params: dict[str, float], model: ModelKind) -> DimensionlessPoint:
+    """The point named by ``params``, in one unit system: physical k, gA, gB
+    and optionally d, or dimensionless omegaA, omegaB and one of phase or
+    sin2kd.  Raises DomainError for a mix, a missing name or a bad value."""
     names = set(params)
     physical = names & set(PHYSICAL_NAMES)
     dimensionless = names & set(DIMENSIONLESS_NAMES)
@@ -80,12 +85,12 @@ def _point_from_params(params: dict[str, float], model: ModelKind) -> Dimensionl
     if physical:
         missing = {"k", "gA", "gB"} - names
         if missing:
-            raise DomainError(f"physical sweep needs k, gA, gB; missing {sorted(missing)}")
+            raise DomainError(f"physical point needs k, gA, gB; missing {sorted(missing)}")
         p = PhysicalPoint(params["gA"], params["gB"], params["k"], params.get("d", 1.0))
         return to_dimensionless(p, model)
     missing = {"omegaA", "omegaB"} - names
     if missing:
-        raise DomainError(f"dimensionless sweep needs omegaA, omegaB; missing {sorted(missing)}")
+        raise DomainError(f"dimensionless point needs omegaA, omegaB; missing {sorted(missing)}")
     has_phase = "phase" in names
     has_sin2 = "sin2kd" in names
     if has_phase == has_sin2:
@@ -100,6 +105,18 @@ def _point_from_params(params: dict[str, float], model: ModelKind) -> Dimensionl
     return DimensionlessPoint(params["omegaA"], params["omegaB"], phase, model)
 
 
+def _check_request(axes: tuple[Axis, ...], fixed: dict[str, float]) -> None:
+    """One or two axes, and every parameter name known and given once."""
+    if not 1 <= len(axes) <= 2:
+        raise DomainError(f"need 1 or 2 axes, got {len(axes)}")
+    seen = [ax.name for ax in axes] + list(fixed)
+    if len(set(seen)) != len(seen):
+        raise DomainError(f"parameter given twice in {seen}")
+    for name in seen:
+        if name not in PHYSICAL_NAMES + DIMENSIONLESS_NAMES:
+            raise DomainError(f"unknown parameter {name!r}")
+
+
 def _cell(axes: tuple[Axis, ...], index: int) -> dict[str, float]:
     """Axis values of the cell at ``index`` in row-major order."""
     if len(axes) == 1:
@@ -109,7 +126,17 @@ def _cell(axes: tuple[Axis, ...], index: int) -> dict[str, float]:
     return {outer.name: outer.values()[row], inner.name: inner.values()[col]}
 
 
-def _meta(model: ModelKind, fixed: dict[str, float], axes: tuple[Axis, ...], kind: str) -> dict[str, str]:
+def make_grid(
+    kind: str,
+    model: ModelKind,
+    axes: tuple[Axis, ...],
+    fixed: dict[str, float],
+    columns: tuple[str, ...],
+    rows,
+    **extra: str,
+) -> SweepGrid:
+    """A SweepGrid with its meta: the tool, ``kind``, ``model``, the units,
+    the axes, each fixed parameter and the ``extra`` entries."""
     meta = {
         "tool": f"entscat {__version__}",
         "kind": kind,
@@ -119,7 +146,7 @@ def _meta(model: ModelKind, fixed: dict[str, float], axes: tuple[Axis, ...], kin
     }
     for name in sorted(fixed):
         meta[name] = repr(fixed[name])
-    return meta
+    return SweepGrid(tuple(axes), tuple(columns), tuple(rows), {**meta, **extra})
 
 
 def _phase_of_sin2(s):
@@ -133,31 +160,30 @@ def _resolve_grid(axes: tuple[Axis, ...], fixed: dict[str, float], model: ModelK
     """Opacities and folded phase of every cell, as arrays that broadcast to
     the grid in row-major axis order.
 
-    Each axis is resolved once.  The checks of :func:`_point_from_params` and
-    :func:`validate` run as array masks, and the first cell that fails them
-    is resolved again through those two functions, so the error is the one
-    a single point would raise.
+    Each axis is resolved once, with the arithmetic of :func:`resolve_point`.
+    Its checks and those of :func:`validate` run as array masks, and the
+    first cell that fails them is resolved again through those two
+    functions, so the error is the one a single point would raise.
     """
     shape = tuple(ax.count for ax in axes)
     params = dict(fixed)
     for i, ax in enumerate(axes):
         params[ax.name] = np.reshape(ax.values(), [-1 if j == i else 1 for j in range(len(axes))])
-    _point_from_params({**fixed, **_cell(axes, 0)}, model)  # unit-system and missing-name errors
+    resolve_point({**fixed, **_cell(axes, 0)}, model)  # unit-system and missing-name errors
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if set(params) & set(PHYSICAL_NAMES):
             k, d, g_a, g_b = params["k"], params.get("d", 1.0), params["gA"], params["gB"]
-            ok = np.isfinite(k) & (k > 0.0) & np.isfinite(d) & (d > 0.0)
-            ok = ok & np.isfinite(g_a) & (g_a >= 0.0) & np.isfinite(g_b) & (g_b >= 0.0)
+            # non-finite k, d or g show up below, as a non-finite opacity or phase
+            ok = (k > 0.0) & (d > 0.0) & (g_a >= 0.0) & (g_b >= 0.0)
             omega_a, omega_b, phase = g_a / k, g_b / k, math.pi * k * d
         else:
             omega_a, omega_b = params["omegaA"], params["omegaB"]
             phase = params["phase"] if "phase" in params else _phase_of_sin2(params["sin2kd"])
             ok = True
-        ok = ok & np.isfinite(omega_a) & (omega_a >= 0.0) & np.isfinite(omega_b) & (omega_b >= 0.0)
-        ok = ok & np.isfinite(phase)
+        ok = ok & opacity_ok(omega_a) & opacity_ok(omega_b) & np.isfinite(phase)
     bad = ~np.broadcast_to(ok, shape).ravel()
     if bad.any():
-        pt = validate(_point_from_params({**fixed, **_cell(axes, int(np.argmax(bad)))}, model))
+        pt = validate(resolve_point({**fixed, **_cell(axes, int(np.argmax(bad)))}, model))
         raise DomainError(f"invalid parameter point {pt!r}")  # unreachable while the masks match
     folded = np.fmod(phase, math.pi)  # exact, as in validate
     folded = np.where(folded < 0.0, folded + math.pi, folded)
@@ -185,14 +211,7 @@ def run_scan(
 ) -> SweepGrid:
     """Evaluate the observables on a 1D or 2D grid, in one vectorized pass
     of the closed forms over the whole grid."""
-    if not 1 <= len(axes) <= 2:
-        raise DomainError(f"need 1 or 2 axes, got {len(axes)}")
-    seen = [ax.name for ax in axes] + list(fixed)
-    if len(set(seen)) != len(seen):
-        raise DomainError(f"parameter given twice in {seen}")
-    for name in seen:
-        if name not in PHYSICAL_NAMES + DIMENSIONLESS_NAMES:
-            raise DomainError(f"unknown parameter {name!r}")
+    _check_request(axes, fixed)
     for col in columns:
         if col not in KNOWN_COLUMNS:
             raise DomainError(f"unknown column {col!r}; known: {KNOWN_COLUMNS}")
@@ -201,8 +220,8 @@ def run_scan(
     c_r, p_r, a_r = side_arrays(amps[3], amps[5])
     by_name = {"C_t": c_t, "P_t": p_t, "C_r": c_r, "P_r": p_r, "a_t": a_t, "a_r": a_r}
     del amps  # free the amplitude arrays before the rows are built
-    rows = tuple(zip(*_columns(tuple(ax.count for ax in axes), [by_name[c] for c in columns])))
-    return SweepGrid(tuple(axes), tuple(columns), rows, _meta(model, fixed, tuple(axes), "scan"))
+    rows = zip(*_columns(tuple(ax.count for ax in axes), [by_name[c] for c in columns]))
+    return make_grid("scan", model, axes, fixed, columns, rows)
 
 
 def run_truncation(
@@ -213,8 +232,7 @@ def run_truncation(
     """Concurrence and probability with the bounce series cut at each order,
     next to the exact values (exchange model, transmitted side)."""
     model = ModelKind.SPIN_EXCHANGE
-    if axis.name in fixed:
-        raise DomainError(f"parameter given twice: {axis.name}")
+    _check_request((axis,), fixed)
     columns = []
     for n in bounce_orders:
         columns += [f"C_n{n}", f"P_n{n}"]
@@ -224,10 +242,9 @@ def run_truncation(
     for n in (*bounce_orders, None):
         amps = grid_amplitudes(*cells, model, n)
         arrays += side_arrays(amps[2], amps[4])[:2]
-    rows = tuple(zip(*_columns((axis.count,), arrays)))
-    meta = _meta(model, fixed, (axis,), "truncate")
-    meta["bounce_orders"] = ",".join(str(n) for n in bounce_orders)
-    return SweepGrid((axis,), tuple(columns), rows, meta)
+    rows = zip(*_columns((axis.count,), arrays))
+    orders = ",".join(str(n) for n in bounce_orders)
+    return make_grid("truncate", model, (axis,), fixed, columns, rows, bounce_orders=orders)
 
 
 _WRITE_BLOCK = 4096  # lines joined per write, bounding the text held at once
@@ -268,7 +285,7 @@ def write_json(grid: SweepGrid, path) -> None:
     document = {
         "meta": dict(sorted(grid.meta.items())),
         "axes": [
-            {"name": ax.name, "start": ax.start, "stop": ax.stop, "count": ax.count, "spacing": ax.spacing}
+            {"name": ax.name, "start": ax.start, "stop": ax.stop, "count": ax.count, "spacing": "linear"}
             for ax in grid.axes
         ],
         "columns": list(grid.columns),

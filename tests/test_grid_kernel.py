@@ -33,7 +33,7 @@ from entscat import (
     write_json,
 )
 from entscat.cli import main
-from entscat.sweep import SweepGrid, _cell, _point_from_params, _resolve_grid
+from entscat.sweep import SweepGrid, _cell, resolve_point, _resolve_grid
 
 XY = ModelKind.SPIN_EXCHANGE
 HEIS = ModelKind.HEISENBERG_CONTACT
@@ -115,7 +115,7 @@ class TestNumericError:
 def scalar_message(axes, fixed, model, index):
     """The error a single-point evaluation of cell ``index`` raises."""
     with pytest.raises(DomainError) as excinfo:
-        validate(_point_from_params({**fixed, **_cell(axes, index)}, model))
+        validate(resolve_point({**fixed, **_cell(axes, index)}, model))
     return str(excinfo.value)
 
 
@@ -139,13 +139,22 @@ class TestGridValidation:
                 run_scan(axes, fixed, model)
             assert str(excinfo.value) == scalar_message(axes, fixed, model, first_bad)
             for index in range(first_bad):
-                validate(_point_from_params({**fixed, **_cell(axes, index)}, model))  # earlier cells pass
+                validate(resolve_point({**fixed, **_cell(axes, index)}, model))  # earlier cells pass
 
     @pytest.mark.parametrize("axis", [Axis("phase", -7.0, 7.0, 2001), Axis("phase", -1e3, 1e3, 20001)])
     def test_phase_axis_folds_exactly_like_validate(self, axis):
         _, _, folded = _resolve_grid((axis,), {"omegaA": 1.0, "omegaB": 2.0}, XY)
         expected = [validate(DimensionlessPoint(1.0, 2.0, v, XY)).phase for v in axis.values()]
         assert folded.tolist() == expected
+
+
+@pytest.mark.parametrize("model", [XY, HEIS])
+def test_probability_underflows_while_concurrence_is_defined(model):
+    # C and a are undefined only where both flip amplitudes are 0; their squared norm P underflows first
+    obs = observables_at(DimensionlessPoint(1e-300, 1e-300, 1.0, model))
+    assert (obs.concurrence_t, obs.probability_t) == (1.0, 0.0)
+    grid = run_scan((Axis("phase", 1.0, 1.0, 2),), {"omegaA": 1e-300, "omegaB": 1e-300}, model)
+    assert grid.rows[0][:2] == (1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +196,7 @@ def test_scan_cells_match_point_evaluation(case):
     grid = run_scan(axes, fixed, model, ALL_COLUMNS)
     assert len(grid.rows) == math.prod(ax.count for ax in axes)
     for index, row in enumerate(grid.rows):
-        obs = observables_at(_point_from_params({**fixed, **_cell(axes, index)}, model))
+        obs = observables_at(resolve_point({**fixed, **_cell(axes, index)}, model))
         expected = tuple(getattr(obs, name) for name in FIELDS)
         assert [v is None for v in row] == [v is None for v in expected]
         for value, ref in zip(row, expected):
@@ -213,7 +222,7 @@ def reference_json(grid):
     document = {
         "meta": dict(sorted(grid.meta.items())),
         "axes": [
-            {"name": ax.name, "start": ax.start, "stop": ax.stop, "count": ax.count, "spacing": ax.spacing}
+            {"name": ax.name, "start": ax.start, "stop": ax.stop, "count": ax.count, "spacing": "linear"}
             for ax in grid.axes
         ],
         "columns": list(grid.columns),

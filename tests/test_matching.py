@@ -12,7 +12,6 @@ from entscat import (
     NumericError,
     amplitudes,
     build_matching_system,
-    continuity_mismatch,
     site_coefficients,
     solve_amplitudes_numeric,
     solve_system,
@@ -31,7 +30,6 @@ def test_system_shape_and_labels():
     system = build_matching_system(DimensionlessPoint(1.0, 1.0, 1.3, HEIS))
     assert system.matrix.shape == (12, 12)
     assert system.rhs.shape == (12,)
-    assert len(system.labels) == 12
 
 
 def test_free_particle_solution():
@@ -63,7 +61,7 @@ def test_solver_residual_is_tiny():
 
 
 def test_singular_system_raises():
-    bad = MatchingSystem(np.zeros((12, 12), dtype=complex), np.zeros(12, dtype=complex), ())
+    bad = MatchingSystem(np.zeros((12, 12), dtype=complex), np.zeros(12, dtype=complex))
     with pytest.raises(NumericError):
         solve_system(bad)
 
@@ -89,11 +87,10 @@ def test_matches_closed_form(omega_a, omega_b, phase, model):
 @given(omega_a=log_omegas, omega_b=log_omegas, phase=phases, model=st.sampled_from([XY, HEIS]))
 @settings(max_examples=150, deadline=None)
 def test_numeric_unitarity(omega_a, omega_b, phase, model):
-    amp = solve_amplitudes_numeric(DimensionlessPoint(omega_a, omega_b, phase, model))
+    pt = DimensionlessPoint(omega_a, omega_b, phase, model)
+    amp = solve_amplitudes_numeric(pt)
     assert abs(amp.flux() - 1.0) < 1e-10
-
-
-@given(omega_a=log_omegas, omega_b=log_omegas, phase=phases, model=st.sampled_from([XY, HEIS]))
-@settings(max_examples=100, deadline=None)
-def test_reconstructed_waves_are_continuous(omega_a, omega_b, phase, model):
-    assert continuity_mismatch(DimensionlessPoint(omega_a, omega_b, phase, model)) < 1e-10
+    # rows 0-2 and 6-8 are the wave functions' continuity at A and at B
+    system = build_matching_system(pt)
+    residual = system.matrix @ solve_system(system, pt) - system.rhs
+    assert np.abs(residual).max() <= 1e-10

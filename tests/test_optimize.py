@@ -13,7 +13,6 @@ from entscat import (
     ModelKind,
     Regime,
     find_global_p_opt,
-    golden_section_maximize,
     model1_probability,
     model1_ratio,
     observables_at,
@@ -23,6 +22,7 @@ from entscat import (
     resonance_curve_probability,
     unit_concurrence_phase,
 )
+from entscat.optimize import P_OPT_BRACKET, golden_section_maximize
 
 XY = ModelKind.SPIN_EXCHANGE
 
@@ -84,7 +84,7 @@ class TestUnitConcurrencePhase:
     @settings(max_examples=200, deadline=None)
     def test_solved_phase_really_balances_the_weights(self, omega_b, frac):
         lower = curve_lower(omega_b)
-        omega_a = lower + frac * (omega_b - lower)
+        omega_a = min(lower + frac * (omega_b - lower), omega_b)  # the sum can round past omega_b
         s = unit_concurrence_phase(omega_a, omega_b).sin2_kd
         assert s is not None and 0.0 <= s <= 1.0
         assert model1_ratio(omega_a, omega_b, s) == pytest.approx(1.0, abs=1e-12)
@@ -113,6 +113,13 @@ class TestOptimalConcurrence:
 
     def test_transparent_a_reports_zero(self):
         report = optimal_concurrence(0.0, 1.0)
+        assert report.regime is Regime.LEFT_REGION
+        assert report.concurrence == 0.0
+
+    def test_transparent_a_reports_zero_when_the_ratio_is_nan(self):
+        # omega_a/omega_b underflows to 0 and the ratio's root overflows: 0 * inf
+        assert math.isnan(model1_ratio(1e-250, 1.05e77, 1.0))
+        report = optimal_concurrence(1e-250, 1.05e77)
         assert report.regime is Regime.LEFT_REGION
         assert report.concurrence == 0.0
 
@@ -182,6 +189,12 @@ class TestGlobalOptimum:
         assert omega_b == pytest.approx(1.0652536885834148, abs=1e-8)
         assert omega_a == pytest.approx(0.3258123994038707, abs=1e-8)
         assert p == pytest.approx(0.3684589675583181, abs=1e-8)
+
+    def test_bracket_endpoints_slope_inward(self):
+        # so the golden-section search on P_OPT_BRACKET finds an interior maximum
+        lo, hi = P_OPT_BRACKET
+        assert resonance_curve_probability(lo + 1e-6) > resonance_curve_probability(lo)
+        assert resonance_curve_probability(hi - 1e-6) > resonance_curve_probability(hi)
 
     def test_is_a_local_maximum_along_the_curve(self):
         _, omega_b, p = find_global_p_opt()

@@ -6,8 +6,8 @@ import sys
 import pytest
 
 from entscat import Axis, DomainError, ModelKind, observables_at, run_scan, run_truncation, write_csv, write_json
-from entscat.cli import main
-from entscat.sweep import _point_from_params
+from entscat.cli import build_parser, main
+from entscat.sweep import resolve_point
 
 XY = ModelKind.SPIN_EXCHANGE
 HEIS = ModelKind.HEISENBERG_CONTACT
@@ -33,23 +33,23 @@ class TestAxis:
 class TestPointFromParams:
     def test_mixed_units_rejected(self):
         with pytest.raises(DomainError, match="mixed"):
-            _point_from_params({"k": 1.0, "omegaA": 1.0, "omegaB": 1.0, "gA": 1.0, "gB": 1.0}, XY)
+            resolve_point({"k": 1.0, "omegaA": 1.0, "omegaB": 1.0, "gA": 1.0, "gB": 1.0}, XY)
 
     def test_needs_one_phase_parameter(self):
         with pytest.raises(DomainError):
-            _point_from_params({"omegaA": 1.0, "omegaB": 1.0}, XY)
+            resolve_point({"omegaA": 1.0, "omegaB": 1.0}, XY)
         with pytest.raises(DomainError):
-            _point_from_params({"omegaA": 1.0, "omegaB": 1.0, "phase": 1.0, "sin2kd": 1.0}, XY)
+            resolve_point({"omegaA": 1.0, "omegaB": 1.0, "phase": 1.0, "sin2kd": 1.0}, XY)
 
     def test_sin2kd_converts_to_phase(self):
-        pt = _point_from_params({"omegaA": 1.0, "omegaB": 1.0, "sin2kd": 1.0}, XY)
+        pt = resolve_point({"omegaA": 1.0, "omegaB": 1.0, "sin2kd": 1.0}, XY)
         assert pt.phase == pytest.approx(math.pi / 2, rel=1e-15)
 
 
 class TestRunScan:
     def test_degenerate_scan_matches_point_evaluation(self):
         grid = run_scan((Axis("k", 3.0, 3.0, 2),), {"gA": 3.0, "gB": 3.0}, XY)
-        obs = observables_at(_point_from_params({"k": 3.0, "gA": 3.0, "gB": 3.0}, XY))
+        obs = observables_at(resolve_point({"k": 3.0, "gA": 3.0, "gB": 3.0}, XY))
         assert len(grid.rows) == 2
         for row in grid.rows:
             # grids run numpy's complex arithmetic, which may round the last digits differently
@@ -65,7 +65,7 @@ class TestRunScan:
             XY,
         )
         assert len(grid.rows) == 6
-        direct = observables_at(_point_from_params({"omegaA": 0.5, "omegaB": 2.0, "sin2kd": 1.0}, XY))
+        direct = observables_at(resolve_point({"omegaA": 0.5, "omegaB": 2.0, "sin2kd": 1.0}, XY))
         matching = [
             i for i, row in enumerate(grid.rows)
             if row[1] == pytest.approx(direct.probability_t, rel=GRID_REL, abs=GRID_ABS)
@@ -85,6 +85,10 @@ class TestRunScan:
     def test_duplicate_parameter_rejected(self):
         with pytest.raises(DomainError, match="twice"):
             run_scan((Axis("k", 1.0, 2.0, 3),), {"k": 1.0, "gA": 1.0, "gB": 1.0}, XY)
+
+    def test_truncation_rejects_unknown_parameter(self):
+        with pytest.raises(DomainError, match="unknown parameter 'bogus'"):
+            run_truncation(Axis("bogus", 1.0, 2.0, 3), {"gA": 1.0, "gB": 1.0, "k": 2.0}, (0,))
 
 
 class TestSerialization:
@@ -240,12 +244,33 @@ class TestCliUsageErrors:
             ["optimize", "report"],  # missing omegas
             ["verify", "--samples", "0"],
             ["bogus-command"],
+            # an axis truncate would ignore; a bad path makes a missed rejection fail too
+            ["truncate", "--gA", "1", "--gB", "1", "--k", "2", "--axis", "bogus=1:2:3", "--n", "0",
+             "--out", "/nonexistent-dir/t.csv"],
+            ["scan", "--sin2kd", "1", "--axis", "omegaA=0:1:2", "--axis", "omegaB=0:1:2", "--axis", "k=1:2:2",
+             "--out", "/nonexistent-dir/x.csv"],  # three axes
+            ["point", "--omegaA", "1", "--omegaB", "1", "--phase", "1", "--out", "x.csv"],  # point writes no file
+            ["optimize", "report", "--model", "heis", "--omegaA", "0.33", "--omegaB", "1.07"],  # exchange model only
         ],
     )
     def test_exit_code_2(self, argv):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
+
+    def test_each_subcommand_accepts_only_the_flags_it_reads(self):
+        params = {"--k", "--gA", "--gB", "--d", "--omegaA", "--omegaB", "--phase", "--sin2kd"}
+        expected = {
+            "point": {"--model", "--side"} | params,
+            "scan": {"--model", "--format", "--out", "--axis", "--columns"} | params,
+            "truncate": {"--model", "--format", "--out", "--axis", "--n"} | params,
+            "optimize": {"--omegaA", "--omegaB"},
+            "verify": {"--model", "--seed", "--samples", "--tol"},
+        }
+        subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+        for name, sub in subparsers.items():
+            flags = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+            assert flags == expected[name], name
 
     def test_scan_requires_out(self):
         with pytest.raises(SystemExit) as excinfo:
