@@ -132,14 +132,10 @@ def _cmd_point(parser, args) -> int:
     ):
         lines.append(f"  {name}: {z.real!r} {z.imag!r}")
     lines.append(f"flux_sum: {_fmt(amps.flux())}")
-    if args.side in ("t", "both"):
-        lines.append(
-            f"transmitted: C={_fmt(obs.concurrence_t)} P={_fmt(obs.probability_t)} a={_fmt(obs.ratio_a_t)}"
-        )
-    if args.side in ("r", "both"):
-        lines.append(
-            f"reflected: C={_fmt(obs.concurrence_r)} P={_fmt(obs.probability_r)} a={_fmt(obs.ratio_a_r)}"
-        )
+    for side, label in (("t", "transmitted"), ("r", "reflected")):
+        if args.side in (side, "both"):
+            c, p, a = (getattr(obs, f"{field}_{side}") for field in ("concurrence", "probability", "ratio_a"))
+            lines.append(f"{label}: C={_fmt(c)} P={_fmt(p)} a={_fmt(a)}")
     print("\n".join(lines))
     return 0
 

@@ -44,6 +44,7 @@ from .core import (
     SiteCoefficients,
     UnsupportedModelError,
     check_opacity,
+    first_cell,
     validate,
 )
 
@@ -88,14 +89,14 @@ def site_coefficients(omega: float, model: ModelKind) -> SiteCoefficients:
     return SiteCoefficients(*map(complex, _site_terms(omega, model)))
 
 
-def _self_energies(a, b, e2):
-    """Contact-model dressing (sigma_a, sigma_b) from the site terms of
-    :func:`_site_terms`; see :func:`dressed_coefficients`."""
-    _, a_r, a_f, _, a_rs = a
-    _, b_r, b_f, _, b_rs = b
+def _dressed(a, b, e2):
+    """Contact-model (t_a, r_a, t_b, r_b, sigma_a, sigma_b) from the site
+    terms of :func:`_site_terms`; see :func:`dressed_coefficients`."""
+    a_t, a_r, a_f, _, a_rs = a
+    b_t, b_r, b_f, _, b_rs = b
     sigma_a = a_f * a_f * b_rs * e2 / (1.0 - a_r * b_rs * e2)
     sigma_b = b_f * b_f * a_rs * e2 / (1.0 - b_r * a_rs * e2)
-    return sigma_a, sigma_b
+    return a_t + sigma_a, a_r + sigma_a, b_t + sigma_b, b_r + sigma_b, sigma_a, sigma_b
 
 
 def dressed_coefficients(pt: DimensionlessPoint):
@@ -113,10 +114,7 @@ def dressed_coefficients(pt: DimensionlessPoint):
     pt = validate(pt)
     if pt.model is not ModelKind.HEISENBERG_CONTACT:
         raise UnsupportedModelError("dressed coefficients exist only for the contact model")
-    a = _site_terms(pt.omega_a, pt.model)
-    b = _site_terms(pt.omega_b, pt.model)
-    sigma_a, sigma_b = _self_energies(a, b, cmath.exp(2j * pt.phase))
-    return (a[0] + sigma_a, a[1] + sigma_a, b[0] + sigma_b, b[1] + sigma_b, sigma_a, sigma_b)
+    return _dressed(_site_terms(pt.omega_a, pt.model), _site_terms(pt.omega_b, pt.model), cmath.exp(2j * pt.phase))
 
 
 def _bounce_sum(x, q, terms):
@@ -160,8 +158,7 @@ def _closed_forms(omega_a, omega_b, ea, em, e2, model, bounces=None):
         t_fa = (1.0 + _bounce_sum(a_t * b_r * e2, q, bounces)) * a_f * ea
         return t_nf, r_nf, t_fb, t_fb * ea, t_fa, t_fa * em
 
-    sigma_a, sigma_b = _self_energies(a, b, e2)
-    ta_d, ra_d, tb_d, rb_d = a_t + sigma_a, a_r + sigma_a, b_t + sigma_b, b_r + sigma_b
+    ta_d, ra_d, tb_d, rb_d, _, _ = _dressed(a, b, e2)
     den = 1.0 - ra_d * rb_d * e2
     den_b = 1.0 - a_rs * b_r * e2  # post-flip bouncing, flip happened at B
     den_a = 1.0 - a_r * b_rs * e2  # post-flip bouncing, flip happened at A
@@ -242,10 +239,7 @@ def grid_amplitudes(omega_a, omega_b, phase, model: ModelKind, bounces: int | No
         amps = _closed_forms(omega_a, omega_b, *factors, model, bounces)
         bad = ~np.isfinite(sum(amps))
     if bad.any():
-        cells = np.broadcast_arrays(omega_a, omega_b, phase, bad)
-        i = int(np.argmax(cells[3].ravel()))
-        wa, wb, ph = (float(c.ravel()[i]) for c in cells[:3])
-        raise _not_finite(DimensionlessPoint(wa, wb, ph, model))
+        raise _not_finite(DimensionlessPoint(*first_cell(bad, omega_a, omega_b, phase), model))
     return amps
 
 

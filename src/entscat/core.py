@@ -20,9 +20,13 @@ and k in [pi/d], in which omega = g/k and phase = pi*k*d.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -30,7 +34,7 @@ class DomainError(ValueError):
 
 
 class ValidationError(DomainError):
-    """A dimensionless parameter failed validation."""
+    """A parameter failed one of the domain rules of :func:`check_rules`."""
 
 
 class UnsupportedModelError(ValueError):
@@ -172,10 +176,55 @@ def opacity_ok(omega):
     return (omega >= 0.0) & (omega < math.inf)
 
 
+_OPACITY = "must be finite and non-negative"
+
+
+def first_cell(bad, *arrays):
+    """The values of ``arrays`` at the first cell, in row-major order, where
+    ``bad`` is true, all broadcast together; as Python scalars."""
+    bad, *arrays = np.broadcast_arrays(bad, *arrays)
+    index = np.unravel_index(np.argmax(bad), bad.shape)
+    return [a[index].item() for a in arrays]
+
+
+def check_rules(*rules):
+    """Raise ValidationError for the first failing rule, each a (name, value,
+    ok, requirement) with ``ok`` the verdict on ``value``.  Elementwise: where
+    a verdict is a numpy array, the error is the one that the first failing
+    cell, in row-major order, raises as a point of its own."""
+    for i, (name, value, ok, requirement) in enumerate(rules):
+        if ok is False:
+            raise ValidationError(f"{name} {requirement}, got {value!r}")
+        if ok is not True:  # numpy verdicts from here on: find the first failing cell
+            names, values, oks, requirements = zip(*rules[i:])
+            bad = ~functools.reduce(operator.and_, oks)
+            if bad.any():
+                cell = first_cell(bad, *values, *oks)
+                check_rules(*zip(names, cell[: len(oks)], cell[len(oks):], requirements))
+            return
+
+
+def check_point(pt: DimensionlessPoint, *rules) -> None:
+    """:func:`check_rules` on ``rules``, then on the domain of ``pt``: each
+    opacity finite and non-negative, the phase finite."""
+    check_rules(
+        *rules,
+        ("omega_a", pt.omega_a, opacity_ok(pt.omega_a), _OPACITY),
+        ("omega_b", pt.omega_b, opacity_ok(pt.omega_b), _OPACITY),
+        ("phase", pt.phase, abs(pt.phase) < math.inf, "must be finite"),
+    )
+
+
 def check_opacity(name: str, omega: float) -> None:
     """Raise ValidationError unless ``omega`` passes :func:`opacity_ok`."""
     if not opacity_ok(omega):
-        raise ValidationError(f"{name} must be finite and non-negative, got {omega!r}")
+        check_rules((name, omega, False, _OPACITY))
+
+
+def fold_phase(phase):
+    """``phase`` folded into [0, pi).  Elementwise on numpy arrays."""
+    folded = phase % math.pi
+    return folded - math.pi * (folded >= math.pi)  # a tiny negative phase rounds up to pi
 
 
 def validate(pt: DimensionlessPoint) -> DimensionlessPoint:
@@ -184,33 +233,27 @@ def validate(pt: DimensionlessPoint) -> DimensionlessPoint:
     Raises ValidationError for non-finite or negative opacities and for a
     non-finite phase.  Returns the point unchanged when already canonical.
     """
-    check_opacity("omega_a", pt.omega_a)
-    check_opacity("omega_b", pt.omega_b)
-    if not math.isfinite(pt.phase):
-        raise ValidationError(f"phase must be finite, got {pt.phase!r}")
-    if 0.0 <= pt.phase < math.pi:
+    phase = pt.phase
+    if 0.0 <= phase < math.pi and opacity_ok(pt.omega_a) and opacity_ok(pt.omega_b):
         return pt
-    folded = math.fmod(pt.phase, math.pi)
-    if folded < 0.0:
-        folded += math.pi
-    if folded >= math.pi:  # fmod rounding can land exactly on pi
-        folded -= math.pi
-    original = pt.phase if pt.phase_original is None else pt.phase_original
-    return replace(pt, phase=folded, phase_original=original)
+    check_point(pt)
+    original = phase if pt.phase_original is None else pt.phase_original
+    return replace(pt, phase=fold_phase(phase), phase_original=original)
 
 
 def to_dimensionless(p: PhysicalPoint, model: ModelKind) -> DimensionlessPoint:
     """Convert paper-unit couplings and momentum to the dimensionless point.
 
-    In these units omega = g/k and phase = pi*k*d.  Raises DomainError when
-    k or d is not positive or a coupling is negative/non-finite.
-    """
-    if not (math.isfinite(p.k) and p.k > 0.0):
-        raise DomainError(f"k must be positive and finite, got {p.k!r}")
-    if not (math.isfinite(p.d) and p.d > 0.0):
-        raise DomainError(f"d must be positive and finite, got {p.d!r}")
-    for name, g in (("g_a", p.g_a), ("g_b", p.g_b)):
-        if not math.isfinite(g) or g < 0.0:
-            raise DomainError(f"{name} must be a finite non-negative coupling, got {g!r}")
-    return DimensionlessPoint(p.g_a / p.k, p.g_b / p.k, math.pi * p.k * p.d, model)
-
+    In these units omega = g/k and phase = pi*k*d.  Raises ValidationError
+    when k or d is not positive and finite, a coupling is negative or not
+    finite, or the conversion overflows.  Elementwise on numpy arrays."""
+    k, d = p.k, p.d
+    rules = [(n, x, (x > 0.0) & (x < math.inf), "must be positive and finite") for n, x in (("k", k), ("d", d))]
+    for n, g in (("g_a", p.g_a), ("g_b", p.g_b)):
+        rules.append((n, g, opacity_ok(g), "must be a finite non-negative coupling"))
+    if not isinstance(k, np.ndarray):
+        check_rules(rules[0])  # a zero k must not reach the division
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pt = DimensionlessPoint(p.g_a / k, p.g_b / k, math.pi * k * d, model)
+    check_point(pt, *rules)
+    return pt

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .core import check_opacity
+from .core import NumericError, check_opacity
 from .observables import concurrence, model1_probability, model1_ratio
 
 
@@ -98,6 +98,8 @@ def optimal_concurrence(omega_a: float, omega_b: float) -> OptimalityReport:
     solved phase; in the left region the resonant phase is optimal, in the
     right region the anti-resonant one.  The degenerate corners (either
     opacity zero) report C = 0: one or both flip branches are empty there.
+    Raises NumericError where the probability is not finite in float64
+    (opacities beyond about 1e150).
     """
     check_opacity("omega_a", omega_a)
     check_opacity("omega_b", omega_b)
@@ -107,29 +109,20 @@ def optimal_concurrence(omega_a: float, omega_b: float) -> OptimalityReport:
         # the solve can only fail here at subnormal scales where the whole
         # region is thinner than one ulp; the diagonal phase is exact then
         s = unit.sin2_kd if unit.sin2_kd is not None else 0.0
-        return OptimalityReport(
-            omega_a,
-            omega_b,
-            s,
-            1.0,
-            model1_probability(omega_a, omega_b, s),
-            Regime.UNIT_CONCURRENCE_REGION,
-        )
-    if omega_a <= lower:
-        s, regime = 1.0, Regime.LEFT_REGION
+        c, regime = 1.0, Regime.UNIT_CONCURRENCE_REGION
     else:
-        s, regime = 0.0, Regime.RIGHT_REGION
-    ratio = 0.0 if omega_a == 0.0 else model1_ratio(omega_a, omega_b, s)
-    if math.isnan(ratio):  # omega_a/omega_b underflowed to 0 against an overflowed root
-        ratio = 0.0
-    return OptimalityReport(
-        omega_a,
-        omega_b,
-        s,
-        concurrence(ratio, 1.0) if ratio <= 1.0 else concurrence(1.0, ratio),
-        model1_probability(omega_a, omega_b, s),
-        regime,
-    )
+        s, regime = (1.0, Regime.LEFT_REGION) if omega_a <= lower else (0.0, Regime.RIGHT_REGION)
+        ratio = 0.0 if omega_a == 0.0 else model1_ratio(omega_a, omega_b, s)
+        if math.isnan(ratio):  # omega_a/omega_b underflowed to 0 against an overflowed root
+            ratio = 0.0
+        c = concurrence(ratio, 1.0) if ratio <= 1.0 else concurrence(1.0, ratio)
+    try:
+        p = model1_probability(omega_a, omega_b, s)
+    except OverflowError:  # its (1 + a + b) ** 2
+        p = math.nan
+    if not math.isfinite(p):
+        raise NumericError(f"probability is not finite in float64 at omega_a={omega_a!r}, omega_b={omega_b!r}")
+    return OptimalityReport(omega_a, omega_b, s, c, p, regime)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

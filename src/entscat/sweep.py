@@ -23,9 +23,9 @@ from .core import (
     DomainError,
     ModelKind,
     PhysicalPoint,
-    opacity_ok,
+    check_point,
+    fold_phase,
     to_dimensionless,
-    validate,
 )
 from .observables import side_arrays
 
@@ -73,10 +73,23 @@ class SweepGrid:
     meta: dict[str, str]
 
 
+def _phase_of_sin2(s):
+    """asin(sqrt(s)) with :mod:`math`, value by value on numpy arrays; NaN where undefined."""
+    if isinstance(s, np.ndarray):
+        return np.reshape([_phase_of_sin2(v) for v in s.ravel().tolist()], s.shape)
+    try:
+        return math.asin(math.sqrt(s))
+    except ValueError:  # s outside [0, 1], which resolve_point rejects
+        return math.nan
+
+
 def resolve_point(params: dict[str, float], model: ModelKind) -> DimensionlessPoint:
     """The point named by ``params``, in one unit system: physical k, gA, gB
     and optionally d, or dimensionless omegaA, omegaB and one of phase or
-    sin2kd.  Raises DomainError for a mix, a missing name or a bad value."""
+    sin2kd; the phase is not folded.  Raises DomainError for a mix, a missing
+    name or a bad value.  Elementwise on numpy arrays that broadcast together:
+    a bad value raises the error that the first bad cell, in row-major order,
+    raises on its own."""
     names = set(params)
     physical = names & set(PHYSICAL_NAMES)
     dimensionless = names & set(DIMENSIONLESS_NAMES)
@@ -91,39 +104,30 @@ def resolve_point(params: dict[str, float], model: ModelKind) -> DimensionlessPo
     missing = {"omegaA", "omegaB"} - names
     if missing:
         raise DomainError(f"dimensionless point needs omegaA, omegaB; missing {sorted(missing)}")
-    has_phase = "phase" in names
-    has_sin2 = "sin2kd" in names
-    if has_phase == has_sin2:
+    if ("phase" in names) == ("sin2kd" in names):
         raise DomainError("give exactly one of phase or sin2kd")
-    if has_phase:
-        phase = params["phase"]
+    s = params.get("sin2kd")
+    if s is None:
+        phase, rules = params["phase"], ()
     else:
-        s = params["sin2kd"]
-        if not 0.0 <= s <= 1.0:
-            raise DomainError(f"sin2kd must lie in [0, 1], got {s!r}")
-        phase = math.asin(math.sqrt(s))
-    return DimensionlessPoint(params["omegaA"], params["omegaB"], phase, model)
+        phase, rules = _phase_of_sin2(s), (("sin2kd", s, (s >= 0.0) & (s <= 1.0), "must lie in [0, 1]"),)
+    pt = DimensionlessPoint(params["omegaA"], params["omegaB"], phase, model)
+    check_point(pt, *rules)
+    return pt
 
 
-def _check_request(axes: tuple[Axis, ...], fixed: dict[str, float]) -> None:
-    """One or two axes, and every parameter name known and given once."""
+def _check_request(axes: tuple[Axis, ...], fixed: dict[str, float], item: str, requested) -> None:
+    """One or two axes, every parameter name known, and each parameter and
+    each ``requested`` ``item`` (column or bounce order) given once."""
     if not 1 <= len(axes) <= 2:
         raise DomainError(f"need 1 or 2 axes, got {len(axes)}")
     seen = [ax.name for ax in axes] + list(fixed)
-    if len(set(seen)) != len(seen):
-        raise DomainError(f"parameter given twice in {seen}")
+    for what, values in (("parameter", seen), (item, list(requested))):
+        if len(set(values)) != len(values):
+            raise DomainError(f"{what} given twice in {values}")
     for name in seen:
         if name not in PHYSICAL_NAMES + DIMENSIONLESS_NAMES:
             raise DomainError(f"unknown parameter {name!r}")
-
-
-def _cell(axes: tuple[Axis, ...], index: int) -> dict[str, float]:
-    """Axis values of the cell at ``index`` in row-major order."""
-    if len(axes) == 1:
-        return {axes[0].name: axes[0].values()[index]}
-    outer, inner = axes
-    row, col = divmod(index, inner.count)
-    return {outer.name: outer.values()[row], inner.name: inner.values()[col]}
 
 
 def make_grid(
@@ -149,46 +153,14 @@ def make_grid(
     return SweepGrid(tuple(axes), tuple(columns), tuple(rows), {**meta, **extra})
 
 
-def _phase_of_sin2(s):
-    """asin(sqrt(s)) value by value with :mod:`math`, exactly as for one
-    point; NaN outside [0, 1]."""
-    phases = [math.asin(math.sqrt(v)) if 0.0 <= v <= 1.0 else math.nan for v in np.ravel(s).tolist()]
-    return np.reshape(phases, np.shape(s))
-
-
 def _resolve_grid(axes: tuple[Axis, ...], fixed: dict[str, float], model: ModelKind):
-    """Opacities and folded phase of every cell, as arrays that broadcast to
-    the grid in row-major axis order.
-
-    Each axis is resolved once, with the arithmetic of :func:`resolve_point`.
-    Its checks and those of :func:`validate` run as array masks, and the
-    first cell that fails them is resolved again through those two
-    functions, so the error is the one a single point would raise.
-    """
-    shape = tuple(ax.count for ax in axes)
+    """Opacities and folded phase of every cell, broadcasting to the grid in
+    row-major axis order: :func:`resolve_point` run once on the axes."""
     params = dict(fixed)
     for i, ax in enumerate(axes):
         params[ax.name] = np.reshape(ax.values(), [-1 if j == i else 1 for j in range(len(axes))])
-    resolve_point({**fixed, **_cell(axes, 0)}, model)  # unit-system and missing-name errors
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if set(params) & set(PHYSICAL_NAMES):
-            k, d, g_a, g_b = params["k"], params.get("d", 1.0), params["gA"], params["gB"]
-            # non-finite k, d or g show up below, as a non-finite opacity or phase
-            ok = (k > 0.0) & (d > 0.0) & (g_a >= 0.0) & (g_b >= 0.0)
-            omega_a, omega_b, phase = g_a / k, g_b / k, math.pi * k * d
-        else:
-            omega_a, omega_b = params["omegaA"], params["omegaB"]
-            phase = params["phase"] if "phase" in params else _phase_of_sin2(params["sin2kd"])
-            ok = True
-        ok = ok & opacity_ok(omega_a) & opacity_ok(omega_b) & np.isfinite(phase)
-    bad = ~np.broadcast_to(ok, shape).ravel()
-    if bad.any():
-        pt = validate(resolve_point({**fixed, **_cell(axes, int(np.argmax(bad)))}, model))
-        raise DomainError(f"invalid parameter point {pt!r}")  # unreachable while the masks match
-    folded = np.fmod(phase, math.pi)  # exact, as in validate
-    folded = np.where(folded < 0.0, folded + math.pi, folded)
-    folded = np.where(folded >= math.pi, folded - math.pi, folded)
-    return omega_a, omega_b, folded
+    pt = resolve_point(params, model)
+    return pt.omega_a, pt.omega_b, fold_phase(pt.phase)
 
 
 def _columns(shape: tuple[int, ...], arrays) -> list[list[float | None]]:
@@ -211,7 +183,9 @@ def run_scan(
 ) -> SweepGrid:
     """Evaluate the observables on a 1D or 2D grid, in one vectorized pass
     of the closed forms over the whole grid."""
-    _check_request(axes, fixed)
+    _check_request(axes, fixed, "column", columns)
+    if not columns:
+        raise DomainError("need at least one column")
     for col in columns:
         if col not in KNOWN_COLUMNS:
             raise DomainError(f"unknown column {col!r}; known: {KNOWN_COLUMNS}")
@@ -232,7 +206,7 @@ def run_truncation(
     """Concurrence and probability with the bounce series cut at each order,
     next to the exact values (exchange model, transmitted side)."""
     model = ModelKind.SPIN_EXCHANGE
-    _check_request((axis,), fixed)
+    _check_request((axis,), fixed, "bounce order", bounce_orders)
     columns = []
     for n in bounce_orders:
         columns += [f"C_n{n}", f"P_n{n}"]

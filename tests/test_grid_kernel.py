@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +34,7 @@ from entscat import (
     write_json,
 )
 from entscat.cli import main
-from entscat.sweep import SweepGrid, _cell, resolve_point, _resolve_grid
+from entscat.sweep import SweepGrid, make_grid, resolve_point, _resolve_grid
 
 XY = ModelKind.SPIN_EXCHANGE
 HEIS = ModelKind.HEISENBERG_CONTACT
@@ -44,6 +45,15 @@ FIELDS = ("concurrence_t", "probability_t", "concurrence_r", "probability_r", "r
 GRID_REL, GRID_ABS = 1e-12, 1e-15
 
 FROZEN = Path(__file__).parent / "data" / "scalar_frozen.json"
+
+
+def _cell(axes, index):
+    """Axis values of the cell at ``index`` in row-major order."""
+    if len(axes) == 1:
+        return {axes[0].name: axes[0].values()[index]}
+    outer, inner = axes
+    row, col = divmod(index, inner.count)
+    return {outer.name: outer.values()[row], inner.name: inner.values()[col]}
 
 
 class TestFrozenScalarPath:
@@ -131,6 +141,9 @@ class TestGridValidation:
             ((Axis("gB", 1.0, 2.0, 2), Axis("k", 2.0, -2.0, 5)), {"gA": 1.0}, 2),
             ((Axis("sin2kd", 0.5, 1.5, 3),), {"omegaA": 1.0, "omegaB": 1.0}, 2),
             ((Axis("sin2kd", -0.5, 0.5, 3),), {"omegaA": 1.0, "omegaB": 1.0}, 0),
+            # an overflowing conversion in an earlier cell comes before a bad input in a later one
+            ((Axis("d", 1.0, -1.0, 2),), {"gA": 1.0, "gB": 1.0, "k": 1e308}, 0),  # pi*k*d overflows
+            ((Axis("gB", 1e300, -1.0, 2),), {"gA": 1.0, "k": 1e-300}, 0),
         ],
     )
     def test_first_bad_cell_raises_the_scalar_message(self, axes, fixed, first_bad):
@@ -146,6 +159,84 @@ class TestGridValidation:
         _, _, folded = _resolve_grid((axis,), {"omegaA": 1.0, "omegaB": 2.0}, XY)
         expected = [validate(DimensionlessPoint(1.0, 2.0, v, XY)).phase for v in axis.values()]
         assert folded.tolist() == expected
+
+
+# Values inside each parameter's domain, and values outside it or that overflow the conversion:
+# g/k overflows for gA = 1e300 at k = 1e-300, pi*k*d for k = 1e308 at d >= 1.
+GOOD_VALUES = {
+    "omegaA": st.floats(0.0, 20.0),
+    "omegaB": st.floats(0.0, 20.0),
+    "phase": st.floats(-1e3, 1e3),
+    "sin2kd": st.floats(0.0, 1.0),
+    "k": st.floats(1e-3, 10.0),
+    "d": st.floats(0.1, 3.0),
+    "gA": st.floats(0.0, 10.0),
+    "gB": st.floats(0.0, 10.0),
+}
+BAD_VALUES = {
+    "omegaA": (-1.0, -1e-300),
+    "omegaB": (-2.0, 1e308),
+    "phase": (1e300,),
+    "sin2kd": (-0.5, -1e-300, 1.5),
+    "k": (0.0, -1.0, 1e-300, 1e308),
+    "d": (0.0, -1.0),
+    "gA": (-1.0, 1e300),
+    "gB": (-0.5,),
+}
+NON_FINITE = (math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def resolver_cases(draw):
+    """A 1D or 2D grid in either unit system; in half the cases, bad values
+    are mixed in, on the axes and in the fixed parameters."""
+    system = draw(st.sampled_from(("phase", "sin2kd", "physical")))
+    names = ("k", "gA", "gB", "d") if system == "physical" else ("omegaA", "omegaB", system)
+    mixed = draw(st.booleans())
+
+    def value(name, *extra_bad):
+        bad = st.sampled_from(BAD_VALUES[name] + extra_bad)
+        return draw(st.one_of(GOOD_VALUES[name], GOOD_VALUES[name], bad) if mixed else GOOD_VALUES[name])
+
+    axis_names = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
+    axes = tuple(Axis(name, value(name), value(name), draw(st.integers(2, 5))) for name in axis_names)
+    fixed = {
+        name: value(name, *NON_FINITE)
+        for name in names
+        if name not in axis_names and (name != "d" or draw(st.booleans()))
+    }
+    return axes, fixed, draw(st.sampled_from((XY, HEIS)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(resolver_cases())
+def test_grid_resolves_exactly_as_its_cells(case):
+    """resolve_point on broadcast axis arrays equals resolve_point cell by
+    cell, bit for bit; with a bad value, the grid raises the error of the
+    first bad cell in row-major order."""
+    axes, fixed, model = case
+    shape = tuple(ax.count for ax in axes)
+    cells, error = [], None
+    for index in range(math.prod(shape)):
+        try:
+            cells.append(resolve_point({**fixed, **_cell(axes, index)}, model))
+        except DomainError as exc:
+            error = exc
+            break
+    if error is not None:
+        with pytest.raises(DomainError) as excinfo:
+            run_scan(axes, fixed, model)
+        assert (type(excinfo.value), str(excinfo.value)) == (type(error), str(error))
+        return
+    params = dict(fixed)
+    for i, ax in enumerate(axes):
+        params[ax.name] = np.reshape(ax.values(), [-1 if j == i else 1 for j in range(len(axes))])
+    grid = resolve_point(params, model)
+    for field in ("omega_a", "omega_b", "phase"):
+        values = np.broadcast_to(getattr(grid, field), shape).ravel()
+        assert values.tobytes() == np.array([getattr(c, field) for c in cells]).tobytes(), field
+    folded = _resolve_grid(axes, fixed, model)[2]
+    assert np.broadcast_to(folded, shape).ravel().tolist() == [validate(c).phase for c in cells]
 
 
 @pytest.mark.parametrize("model", [XY, HEIS])
@@ -238,7 +329,7 @@ def reference_json(grid):
             (Axis("omegaA", 0.0, 3.0, 70), Axis("omegaB", 0.0, 2.0, 90)), {"sin2kd": 1.0}, XY, ALL_COLUMNS
         ),
         run_scan((Axis("phase", 0.1, 1.0, 3),), {"omegaA": 0.0, "omegaB": 0.0}, HEIS),
-        run_scan((Axis("phase", 0.1, 1.0, 3),), {"omegaA": 0.0, "omegaB": 1.0}, HEIS, ()),
+        make_grid("scan", HEIS, (Axis("phase", 0.1, 1.0, 3),), {"omegaA": 0.0, "omegaB": 1.0}, (), [()] * 3),
         run_truncation(Axis("k", 0.05, 10.0, 9), {"gA": 3.0, "gB": 3.0}, (0, 1, 3)),
         SweepGrid(
             (Axis("omegaA", 0.0, 1.0, 3),), ("x", "y"),

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from entscat import (
     DimensionlessPoint,
     DomainError,
     ModelKind,
+    NumericError,
     Regime,
     find_global_p_opt,
     model1_probability,
@@ -126,6 +128,12 @@ class TestOptimalConcurrence:
     def test_rejects_bad_input(self):
         with pytest.raises(DomainError):
             optimal_concurrence(-1.0, 1.0)
+
+    @pytest.mark.parametrize("omega_a, omega_b", [(1e-175, 1e150), (1.0, 1e200), (1e200, 1.0)])
+    def test_probability_overflow_raises_numeric_error(self, omega_a, omega_b):
+        # model1_probability raises OverflowError at the first point and gives inf/inf at the others
+        with pytest.raises(NumericError, match=re.escape(f"omega_a={omega_a!r}, omega_b={omega_b!r}")):
+            optimal_concurrence(omega_a, omega_b)
 
     @pytest.mark.parametrize("omega_b", [0.3, 1.0, 2.5])
     def test_regime_boundaries_agree(self, omega_b):

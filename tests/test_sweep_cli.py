@@ -251,6 +251,11 @@ class TestCliUsageErrors:
              "--out", "/nonexistent-dir/x.csv"],  # three axes
             ["point", "--omegaA", "1", "--omegaB", "1", "--phase", "1", "--out", "x.csv"],  # point writes no file
             ["optimize", "report", "--model", "heis", "--omegaA", "0.33", "--omegaB", "1.07"],  # exchange model only
+            # no column, a repeated column, a repeated bounce order; a bad path makes a missed rejection fail too
+            ["scan", "--gA", "3", "--gB", "3", "--axis", "k=1:2:2", "--columns", "", "--out", "/nonexistent-dir/x.csv"],
+            ["scan", "--gA", "3", "--gB", "3", "--axis", "k=1:2:2", "--columns", "C_t,C_t",
+             "--out", "/nonexistent-dir/x.csv"],
+            ["truncate", "--gA", "3", "--gB", "3", "--axis", "k=1:2:2", "--n", "1,1", "--out", "/nonexistent-dir/t.csv"],
         ],
     )
     def test_exit_code_2(self, argv):
@@ -276,6 +281,14 @@ class TestCliUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["scan", "--gA", "3", "--gB", "3", "--axis", "k=1:2:3"])
         assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("omega_a, omega_b", [("1e-175", "1e150"), ("1", "1e200"), ("1e200", "1")])
+def test_optimize_report_exits_1_where_the_probability_overflows(omega_a, omega_b, capsys):
+    assert main(["optimize", "report", "--omegaA", omega_a, "--omegaB", omega_b]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: probability is not finite")
 
 
 def test_console_entry_point_runs():
