@@ -232,9 +232,17 @@ def validate(pt: DimensionlessPoint) -> DimensionlessPoint:
 
     Raises ValidationError for non-finite or negative opacities and for a
     non-finite phase.  Returns the point unchanged when already canonical.
+    Elementwise on a point whose fields are equal-shape numpy arrays: the
+    error is the one that the first failing cell raises on its own, and
+    ``phase_original`` keeps the raw phases of every cell.
     """
     phase = pt.phase
-    if 0.0 <= phase < math.pi and opacity_ok(pt.omega_a) and opacity_ok(pt.omega_b):
+    if (
+        not isinstance(phase, np.ndarray)
+        and 0.0 <= phase < math.pi
+        and opacity_ok(pt.omega_a)
+        and opacity_ok(pt.omega_b)
+    ):
         return pt
     check_point(pt)
     original = phase if pt.phase_original is None else pt.phase_original

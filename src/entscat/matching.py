@@ -23,7 +23,6 @@ same dimensionless point the closed forms use.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,90 +47,114 @@ _COUPLINGS = {
     ModelKind.HEISENBERG_CONTACT: (_CONTACT_A, _CONTACT_B),
 }
 
-_INCIDENT = (1.0, 0.0, 0.0)
+_INCIDENT = np.array([1.0, 0.0, 0.0])
 
 
 @dataclass
 class MatchingSystem:
     """Dense 12x12 system M x = b; unknown x[4c + i] is coefficient
-    COEFFICIENT_NAMES[i] of channel c.  Treat the arrays as read-only."""
+    COEFFICIENT_NAMES[i] of channel c.  A stack of systems has ``matrix`` of
+    shape (..., 12, 12) and ``rhs`` of shape (..., 12).  Treat the arrays as
+    read-only."""
 
     matrix: np.ndarray
     rhs: np.ndarray
 
 
-def _col(channel_index: int, coefficient: str) -> int:
-    return 4 * channel_index + COEFFICIENT_NAMES.index(coefficient)
+_CHANNELS = np.arange(3)
+# the column of each coefficient in every channel, in COEFFICIENT_NAMES order
+_R, _AP, _AM, _T = (4 * _CHANNELS + i for i in range(4))
+# the AmplitudeSet fields in order: (T, R) of each channel in turn
+_OUTGOING = np.stack([_T, _R], axis=1).ravel()
 
 
 def build_matching_system(pt: DimensionlessPoint) -> MatchingSystem:
-    """Assemble the continuity and derivative-jump equations at both sites."""
+    """Assemble the continuity and derivative-jump equations at both sites.
+
+    On a point whose fields are equal-shape numpy arrays, one system per
+    sample, stacked over the leading axes."""
     pt = validate(pt)
     m_a, m_b = _COUPLINGS[pt.model]
-    ea = cmath.exp(1j * pt.phase)   # k = 1, d = phase
-    em = cmath.exp(-1j * pt.phase)
+    phase = np.asarray(pt.phase)
+    ea = np.exp(1j * phase)[..., None]  # k = 1, d = phase
+    em = np.exp(-1j * phase)[..., None]
+    c = _CHANNELS
+    matrix = np.zeros(phase.shape + (12, 12), dtype=complex)
+    rhs = np.zeros(phase.shape + (12,), dtype=complex)
 
-    matrix = np.zeros((12, 12), dtype=complex)
-    rhs = np.zeros(12, dtype=complex)
+    # continuity at A: I + R = A+ + A-
+    row = c
+    matrix[..., row, _R] = 1.0
+    matrix[..., row, _AP] = -1.0
+    matrix[..., row, _AM] = -1.0
+    rhs[..., row] = -_INCIDENT
 
-    for c in range(3):
-        # continuity at A: I + R = A+ + A-
-        row = c
-        matrix[row, _col(c, "R")] = 1.0
-        matrix[row, _col(c, "A+")] = -1.0
-        matrix[row, _col(c, "A-")] = -1.0
-        rhs[row] = -_INCIDENT[c]
+    # jump at A: i(A+ - A-) - i(I - R) = 2 omega_a sum_c' M_A[c,c'] (A+ + A-)_c'
+    row = 3 + c
+    matrix[..., row, _AP] = 1j
+    matrix[..., row, _AM] = -1j
+    matrix[..., row, _R] = 1j
+    coupling = 2.0 * np.asarray(pt.omega_a)[..., None, None] * m_a  # [..., c, c']
+    matrix[..., row[:, None], _AP] -= coupling
+    matrix[..., row[:, None], _AM] -= coupling
+    rhs[..., row] = 1j * _INCIDENT
 
-        # jump at A: i(A+ - A-) - i(I - R) = 2 omega_a sum_c' M_A[c,c'] (A+ + A-)_c'
-        row = 3 + c
-        matrix[row, _col(c, "A+")] = 1j
-        matrix[row, _col(c, "A-")] = -1j
-        matrix[row, _col(c, "R")] = 1j
-        for cp in range(3):
-            coupling = 2.0 * pt.omega_a * m_a[c, cp]
-            matrix[row, _col(cp, "A+")] -= coupling
-            matrix[row, _col(cp, "A-")] -= coupling
-        rhs[row] = 1j * _INCIDENT[c]
+    # continuity at B: A+ e^{ikd} + A- e^{-ikd} = T
+    row = 6 + c
+    matrix[..., row, _AP] = ea
+    matrix[..., row, _AM] = em
+    matrix[..., row, _T] = -1.0
 
-        # continuity at B: A+ e^{ikd} + A- e^{-ikd} = T
-        row = 6 + c
-        matrix[row, _col(c, "A+")] = ea
-        matrix[row, _col(c, "A-")] = em
-        matrix[row, _col(c, "T")] = -1.0
-
-        # jump at B: iT - i(A+ e^{ikd} - A- e^{-ikd}) = 2 omega_b sum_c' M_B[c,c'] T_c'
-        row = 9 + c
-        matrix[row, _col(c, "T")] = 1j
-        matrix[row, _col(c, "A+")] = -1j * ea
-        matrix[row, _col(c, "A-")] = 1j * em
-        for cp in range(3):
-            matrix[row, _col(cp, "T")] -= 2.0 * pt.omega_b * m_b[c, cp]
+    # jump at B: iT - i(A+ e^{ikd} - A- e^{-ikd}) = 2 omega_b sum_c' M_B[c,c'] T_c'
+    row = 9 + c
+    matrix[..., row, _T] = 1j
+    matrix[..., row, _AP] = -1j * ea
+    matrix[..., row, _AM] = 1j * em
+    matrix[..., row[:, None], _T] -= 2.0 * np.asarray(pt.omega_b)[..., None, None] * m_b
 
     return MatchingSystem(matrix=matrix, rhs=rhs)
 
 
+def _sample(point: DimensionlessPoint | None, index: int) -> DimensionlessPoint | None:
+    """Sample ``index`` (row-major) of a stacked point, as the validated
+    one-point form that :func:`solve_amplitudes_numeric` would pass."""
+    if point is None or not isinstance(point.phase, np.ndarray):
+        return point
+    phase = point.phase if point.phase_original is None else point.phase_original
+    a, b, p = (np.ravel(x)[index].item() for x in (point.omega_a, point.omega_b, phase))
+    return validate(DimensionlessPoint(a, b, p, point.model))
+
+
 def solve_system(system: MatchingSystem, point: DimensionlessPoint | None = None) -> np.ndarray:
-    """Solve M x = b, guarding against ill-conditioning and bad residuals."""
-    cond = np.linalg.cond(system.matrix)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise NumericError(f"matching matrix ill-conditioned (cond ~ {cond:.3e}) at {point!r}", point)
-    solution = np.linalg.solve(system.matrix, system.rhs)
-    residual = float(np.abs(system.matrix @ solution - system.rhs).max())
-    if residual > 1e-10:
-        raise NumericError(f"matching solve residual {residual:.3e} too large at {point!r}", point)
-    return solution
+    """Solve M x = b, guarding against ill-conditioning and bad residuals.
+
+    A stack is solved at once, ``point`` being the stacked point it was built
+    from; it raises the error that its first failing system, in row-major
+    order, raises on its own."""
+    matrix = system.matrix.reshape(-1, 12, 12)
+    rhs = system.rhs.reshape(-1, 12, 1)
+    cond = np.linalg.cond(matrix)
+    well = cond <= 1e12  # false where cond is not finite too
+    n = len(well) if well.all() else int(np.argmin(well))  # the systems before the first ill-conditioned one
+    solution = np.linalg.solve(matrix[:n], rhs[:n])
+    residual = np.abs(matrix[:n] @ solution - rhs[:n]).max(axis=(1, 2))
+    bad = residual > 1e-10
+    if bad.any():
+        i = int(np.argmax(bad))
+        sample = _sample(point, i)
+        raise NumericError(f"matching solve residual {residual[i]:.3e} too large at {sample!r}", sample)
+    if n < len(well):
+        sample = _sample(point, n)
+        raise NumericError(f"matching matrix ill-conditioned (cond ~ {cond[n]:.3e}) at {sample!r}", sample)
+    return solution.reshape(system.rhs.shape)
+
+
+def amplitude_set(solution: np.ndarray) -> AmplitudeSet:
+    """The outgoing amplitudes in one solution of the matching system."""
+    return AmplitudeSet(*solution[_OUTGOING].tolist())
 
 
 def solve_amplitudes_numeric(pt: DimensionlessPoint) -> AmplitudeSet:
     """Solve the matching system and extract the outgoing amplitudes."""
     pt = validate(pt)
-    solution = solve_system(build_matching_system(pt), pt)
-    return AmplitudeSet(
-        t_noflip=complex(solution[_col(0, "T")]),
-        r_noflip=complex(solution[_col(0, "R")]),
-        t_flipb=complex(solution[_col(1, "T")]),
-        r_flipb=complex(solution[_col(1, "R")]),
-        t_flipa=complex(solution[_col(2, "T")]),
-        r_flipa=complex(solution[_col(2, "R")]),
-    )
-
+    return amplitude_set(solve_system(build_matching_system(pt), pt))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,6 +88,22 @@ class TestValidate:
     def test_non_finite_phase_rejected(self):
         with pytest.raises(ValidationError):
             validate(DimensionlessPoint(1.0, 1.0, math.inf, XY))
+
+    def test_array_point_is_checked_and_folded_cell_by_cell(self):
+        cells = [(0.5, 1.0, 2.0), (1.0, 0.0, -0.25), (2.0, 3.0, 3.0 * math.pi)]
+        pt = validate(DimensionlessPoint(*np.array(cells).T, XY))
+        for i, cell in enumerate(cells):
+            one = validate(DimensionlessPoint(*cell, XY))
+            assert (pt.omega_a[i], pt.omega_b[i], pt.phase[i]) == (one.omega_a, one.omega_b, one.phase)
+        assert pt.phase_original.tolist() == [c[2] for c in cells]
+        # the error is the one the first bad cell raises on its own
+        cells[1] = (-1.0, math.nan, 0.0)
+        cells[2] = (math.inf, 1.0, 0.0)
+        with pytest.raises(ValidationError) as alone:
+            validate(DimensionlessPoint(*cells[1], XY))
+        with pytest.raises(ValidationError) as stacked:
+            validate(DimensionlessPoint(*np.array(cells).T, XY))
+        assert str(stacked.value) == str(alone.value)
 
 
 @given(

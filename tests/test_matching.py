@@ -17,6 +17,7 @@ from entscat import (
     solve_system,
 )
 from entscat.matching import MatchingSystem
+from entscat.verify import sample_points
 
 XY = ModelKind.SPIN_EXCHANGE
 HEIS = ModelKind.HEISENBERG_CONTACT
@@ -60,10 +61,55 @@ def test_solver_residual_is_tiny():
     assert np.abs(system.matrix @ x - system.rhs).max() < 1e-12
 
 
+def _stack(points):
+    """The points as one point whose fields are arrays."""
+    values = np.array([(p.omega_a, p.omega_b, p.phase) for p in points])
+    return DimensionlessPoint(*values.T, points[0].model)
+
+
+def _raised(system, point):
+    with pytest.raises(NumericError) as info:
+        solve_system(system, point)
+    return type(info.value), str(info.value), info.value.point
+
+
+@pytest.mark.parametrize("model", [XY, HEIS])
+def test_stacked_systems_equal_the_per_point_ones_bit_for_bit(model):
+    points = sample_points(model, 300, 11)
+    stack = _stack(points)
+    system = build_matching_system(stack)
+    solution = solve_system(system, stack)
+    assert system.matrix.shape == (300, 12, 12) and system.rhs.shape == (300, 12)
+    for i, pt in enumerate(points):
+        one = build_matching_system(pt)
+        assert system.matrix[i].tobytes() == one.matrix.tobytes()
+        assert system.rhs[i].tobytes() == one.rhs.tobytes()
+        assert solution[i].tobytes() == solve_system(one, pt).tobytes()
+
+
 def test_singular_system_raises():
     bad = MatchingSystem(np.zeros((12, 12), dtype=complex), np.zeros(12, dtype=complex))
     with pytest.raises(NumericError):
         solve_system(bad)
+    # in a stack, the error is the one its first failing system raises alone
+    points = sample_points(HEIS, 4, 5)
+    stack = _stack(points)
+    system = build_matching_system(stack)
+    system.matrix[2] = 0.0
+    alone = _raised(MatchingSystem(system.matrix[2], system.rhs[2]), points[2])
+    assert alone[2] == points[2]
+    assert _raised(system, stack) == alone
+
+
+def test_stack_raises_for_a_bad_residual_before_a_later_singular_system():
+    points = sample_points(XY, 4, 5)
+    stack = _stack(points)
+    system = build_matching_system(stack)
+    system.rhs[1] *= 1e12  # well conditioned, but the residual scales with the solution
+    system.matrix[2] = 0.0
+    alone = _raised(MatchingSystem(system.matrix[1], system.rhs[1]), points[1])
+    assert "residual" in alone[1]
+    assert _raised(system, stack) == alone
 
 
 def test_degenerate_zero_phase_still_solves():
