@@ -10,10 +10,8 @@ deterministic sweep tooling behind the ``entscat`` CLI.
 __version__ = "0.1.0"
 
 from .closedform import (
-    TruncatedAmplitudeSet,
     amplitudes,
     dressed_coefficients,
-    interaction_time_map,
     site_coefficients,
     truncated_amplitudes,
 )
@@ -25,7 +23,6 @@ from .core import (
     NumericError,
     ObservableSet,
     PhysicalPoint,
-    Side,
     SiteCoefficients,
     UnsupportedModelError,
     ValidationError,
@@ -33,19 +30,15 @@ from .core import (
     validate,
 )
 from .matching import (
-    MatchingSystem,
     build_matching_system,
     solve_amplitudes_numeric,
     solve_system,
 )
 from .observables import (
-    PostSelectedState,
     concurrence_and_ratio,
     model1_probability,
     model1_ratio,
     observables_at,
-    post_selected_state,
-    probability,
 )
 from .optimize import (
     OptimalityReport,
@@ -66,18 +59,14 @@ __all__ = [
     "Axis",
     "DimensionlessPoint",
     "DomainError",
-    "MatchingSystem",
     "ModelKind",
     "NumericError",
     "ObservableSet",
     "OptimalityReport",
     "PhysicalPoint",
-    "PostSelectedState",
     "Regime",
-    "Side",
     "SiteCoefficients",
     "SweepGrid",
-    "TruncatedAmplitudeSet",
     "UnitPhase",
     "UnsupportedModelError",
     "ValidationError",
@@ -87,13 +76,10 @@ __all__ = [
     "concurrence_and_ratio",
     "dressed_coefficients",
     "find_global_p_opt",
-    "interaction_time_map",
     "model1_probability",
     "model1_ratio",
     "observables_at",
     "optimal_concurrence",
-    "post_selected_state",
-    "probability",
     "probability_at_resonance",
     "reference_optimum_omega_b",
     "resonance_curve_probability",

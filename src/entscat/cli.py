@@ -211,8 +211,6 @@ def _cmd_optimize(parser, args) -> int:
 
 
 def _cmd_verify(parser, args) -> int:
-    if args.samples < 1:
-        parser.error("--samples must be >= 1")
     models = tuple(_MODELS.values()) if args.model is None else (_MODELS[args.model],)
     report = run_verification(args.samples, args.seed, models, args.tol)
     for check in report.checks:

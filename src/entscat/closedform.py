@@ -30,8 +30,6 @@ the entanglement.
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,14 +45,6 @@ from .core import (
     first_cell,
     validate,
 )
-
-
-@dataclass(frozen=True)
-class TruncatedAmplitudeSet(AmplitudeSet):
-    """Amplitudes with every bounce series cut after ``bounce_order`` round
-    trips between the sites; order 0 keeps only the direct paths."""
-
-    bounce_order: int
 
 
 def _site_terms(omega, model):
@@ -209,7 +199,7 @@ def amplitudes(pt: DimensionlessPoint) -> AmplitudeSet:
     return AmplitudeSet(*_at_point(pt))
 
 
-def truncated_amplitudes(pt: DimensionlessPoint, n: int) -> TruncatedAmplitudeSet:
+def truncated_amplitudes(pt: DimensionlessPoint, n: int) -> AmplitudeSet:
     """Exchange-model amplitudes with at most ``n`` bounces kept.
 
     A bounce is one factor of (r_A r_B E^2); n = 0 keeps only the direct
@@ -220,7 +210,7 @@ def truncated_amplitudes(pt: DimensionlessPoint, n: int) -> TruncatedAmplitudeSe
     The contact model is rejected: its nested series have no single
     bounce-count convention, so no truncation is defined for it here.
     """
-    return TruncatedAmplitudeSet(*_at_point(validate(pt), n), bounce_order=n)
+    return AmplitudeSet(*_at_point(validate(pt), n))
 
 
 def grid_amplitudes(omega_a, omega_b, phase, model: ModelKind, bounces: int | None = None):
@@ -242,15 +232,3 @@ def grid_amplitudes(omega_a, omega_b, phase, model: ModelKind, bounces: int | No
         raise _not_finite(DimensionlessPoint(*first_cell(bad, omega_a, omega_b, phase), model))
     return amps
 
-
-def interaction_time_map(omega: float) -> tuple[float, float]:
-    """Map an opacity to the equivalent rotation-angle picture.
-
-    Returns (rotation_angle, transmit_probability): the angle a transmitted
-    mediator rotates the joint spin state by, arctan(omega), and the
-    probability 1/(1+omega^2) that the transmission happens at all.  A full
-    pi/2 rotation needs omega -> infinity, where the transmission
-    probability vanishes: the complete flip is unreachable.
-    """
-    check_opacity("omega", omega)
-    return math.atan(omega), 1.0 / (1.0 + omega * omega)

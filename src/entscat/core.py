@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -60,13 +60,6 @@ class ModelKind(Enum):
 
     SPIN_EXCHANGE = "xy"
     HEISENBERG_CONTACT = "heis"
-
-
-class Side(Enum):
-    """Detection side for the post-selected mediator."""
-
-    TRANSMITTED = "t"
-    REFLECTED = "r"
 
 
 @dataclass(frozen=True)
@@ -116,12 +109,6 @@ class SiteCoefficients:
     f: complex
     t_same: complex
     r_same: complex
-
-    def flux_mismatch(self) -> float:
-        """Worst deviation of the two single-site flux sums from 1."""
-        flip = abs(self.t) ** 2 + abs(self.r) ** 2 + 2.0 * abs(self.f) ** 2
-        same = abs(self.t_same) ** 2 + abs(self.r_same) ** 2
-        return max(abs(flip - 1.0), abs(same - 1.0))
 
 
 @dataclass(frozen=True)
@@ -246,7 +233,7 @@ def validate(pt: DimensionlessPoint) -> DimensionlessPoint:
         return pt
     check_point(pt)
     original = phase if pt.phase_original is None else pt.phase_original
-    return replace(pt, phase=fold_phase(phase), phase_original=original)
+    return DimensionlessPoint(pt.omega_a, pt.omega_b, fold_phase(phase), pt.model, original)
 
 
 def to_dimensionless(p: PhysicalPoint, model: ModelKind) -> DimensionlessPoint:

@@ -23,13 +23,9 @@ same dimensionless point the closed forms use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import AmplitudeSet, DimensionlessPoint, ModelKind, NumericError, validate
-
-COEFFICIENT_NAMES = ("R", "A+", "A-", "T")
 
 # Exchange coupling swaps the mediator spin with the site spin, connecting
 # the no-flip channel to the channel where that site is flipped.
@@ -50,29 +46,21 @@ _COUPLINGS = {
 _INCIDENT = np.array([1.0, 0.0, 0.0])
 
 
-@dataclass
-class MatchingSystem:
-    """Dense 12x12 system M x = b; unknown x[4c + i] is coefficient
-    COEFFICIENT_NAMES[i] of channel c.  A stack of systems has ``matrix`` of
-    shape (..., 12, 12) and ``rhs`` of shape (..., 12).  Treat the arrays as
-    read-only."""
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-
-
 _CHANNELS = np.arange(3)
-# the column of each coefficient in every channel, in COEFFICIENT_NAMES order
+# the column of each coefficient in every channel; unknown 4c + i is
+# coefficient i of channel c, in the order R, A+, A-, T
 _R, _AP, _AM, _T = (4 * _CHANNELS + i for i in range(4))
 # the AmplitudeSet fields in order: (T, R) of each channel in turn
 _OUTGOING = np.stack([_T, _R], axis=1).ravel()
 
 
-def build_matching_system(pt: DimensionlessPoint) -> MatchingSystem:
-    """Assemble the continuity and derivative-jump equations at both sites.
+def build_matching_system(pt: DimensionlessPoint) -> tuple[np.ndarray, np.ndarray]:
+    """Assemble the continuity and derivative-jump equations at both sites,
+    as the dense 12x12 system M x = b: returns (M, b).
 
     On a point whose fields are equal-shape numpy arrays, one system per
-    sample, stacked over the leading axes."""
+    sample, stacked over the leading axes: M has shape (..., 12, 12) and b
+    shape (..., 12)."""
     pt = validate(pt)
     m_a, m_b = _COUPLINGS[pt.model]
     phase = np.asarray(pt.phase)
@@ -112,7 +100,7 @@ def build_matching_system(pt: DimensionlessPoint) -> MatchingSystem:
     matrix[..., row, _AM] = 1j * em
     matrix[..., row[:, None], _T] -= 2.0 * np.asarray(pt.omega_b)[..., None, None] * m_b
 
-    return MatchingSystem(matrix=matrix, rhs=rhs)
+    return matrix, rhs
 
 
 def _sample(point: DimensionlessPoint | None, index: int) -> DimensionlessPoint | None:
@@ -125,14 +113,15 @@ def _sample(point: DimensionlessPoint | None, index: int) -> DimensionlessPoint 
     return validate(DimensionlessPoint(a, b, p, point.model))
 
 
-def solve_system(system: MatchingSystem, point: DimensionlessPoint | None = None) -> np.ndarray:
+def solve_system(matrix: np.ndarray, rhs: np.ndarray, point: DimensionlessPoint | None = None) -> np.ndarray:
     """Solve M x = b, guarding against ill-conditioning and bad residuals.
 
     A stack is solved at once, ``point`` being the stacked point it was built
     from; it raises the error that its first failing system, in row-major
     order, raises on its own."""
-    matrix = system.matrix.reshape(-1, 12, 12)
-    rhs = system.rhs.reshape(-1, 12, 1)
+    shape = rhs.shape
+    matrix = matrix.reshape(-1, 12, 12)
+    rhs = rhs.reshape(-1, 12, 1)
     cond = np.linalg.cond(matrix)
     well = cond <= 1e12  # false where cond is not finite too
     n = len(well) if well.all() else int(np.argmin(well))  # the systems before the first ill-conditioned one
@@ -146,7 +135,7 @@ def solve_system(system: MatchingSystem, point: DimensionlessPoint | None = None
     if n < len(well):
         sample = _sample(point, n)
         raise NumericError(f"matching matrix ill-conditioned (cond ~ {cond[n]:.3e}) at {sample!r}", sample)
-    return solution.reshape(system.rhs.shape)
+    return solution.reshape(shape)
 
 
 def amplitude_set(solution: np.ndarray) -> AmplitudeSet:
@@ -157,4 +146,4 @@ def amplitude_set(solution: np.ndarray) -> AmplitudeSet:
 def solve_amplitudes_numeric(pt: DimensionlessPoint) -> AmplitudeSet:
     """Solve the matching system and extract the outgoing amplitudes."""
     pt = validate(pt)
-    return amplitude_set(solve_system(build_matching_system(pt), pt))
+    return amplitude_set(solve_system(*build_matching_system(pt), pt))

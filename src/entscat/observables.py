@@ -1,4 +1,4 @@
-"""From amplitudes to physics: post-selected states, concurrence, probability.
+"""From amplitudes to physics: concurrence, weight ratio, probability.
 
 Detecting the mediator spin-flipped on one side projects the qubit pair
 onto an (unnormalized) two-term state
@@ -14,32 +14,11 @@ for the contact model they differ.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .closedform import amplitudes
-from .core import AmplitudeSet, DimensionlessPoint, ObservableSet, Side
-
-
-@dataclass(frozen=True)
-class PostSelectedState:
-    """Unnormalized weights of |up down> and |down up> after detecting the
-    flipped mediator on ``side``; norm_squared is the detection probability."""
-
-    coeff_updown: complex
-    coeff_downup: complex
-    side: Side
-
-    @property
-    def norm_squared(self) -> float:
-        return abs(self.coeff_updown) ** 2 + abs(self.coeff_downup) ** 2
-
-
-def post_selected_state(amps: AmplitudeSet, side: Side) -> PostSelectedState:
-    if side is Side.TRANSMITTED:
-        return PostSelectedState(amps.t_flipb, amps.t_flipa, side)
-    return PostSelectedState(amps.r_flipb, amps.r_flipa, side)
+from .core import AmplitudeSet, DimensionlessPoint, DomainError, ObservableSet
 
 
 def concurrence(small, large):
@@ -51,29 +30,39 @@ def concurrence(small, large):
     return 2.0 * m / (1.0 + m * m)
 
 
-def _concurrence_ratio(x: float, y: float) -> tuple[float | None, float | None]:
-    if x == 0.0 and y == 0.0:
-        return None, None
-    c = concurrence(x, y) if x <= y else concurrence(y, x)
-    return c, math.inf if x == 0.0 else y / x
+# post_selected_state, concurrence_and_ratio and probability stay public:
+# the benchmark traces them by name.
+def post_selected_state(amps: AmplitudeSet, side: str) -> tuple[complex, complex]:
+    """The weights (w_updown, w_downup) of the state left by detecting the
+    flipped mediator on ``side``, "t" (transmitted) or "r" (reflected)."""
+    if side == "t":
+        return amps.t_flipb, amps.t_flipa
+    if side == "r":
+        return amps.r_flipb, amps.r_flipa
+    raise DomainError(f"side must be 't' or 'r', got {side!r}")
 
 
-def concurrence_and_ratio(state: PostSelectedState) -> tuple[float | None, float | None]:
-    """Concurrence C and weight ratio a = |w_downup / w_updown|.
+def concurrence_and_ratio(x: float, y: float) -> tuple[float | None, float | None]:
+    """Concurrence C and weight ratio a = y/x of a side whose weights have
+    magnitudes x = |w_updown| and y = |w_downup|.
 
     C comes from :func:`concurrence`, which needs no infinity arithmetic
     when one weight vanishes (a is reported as inf then).  Both weights
     zero means nothing is ever detected; that returns (None, None) rather
     than a misleading 0.
     """
-    return _concurrence_ratio(abs(state.coeff_updown), abs(state.coeff_downup))
+    if x == 0.0 and y == 0.0:
+        return None, None
+    c = concurrence(x, y) if x <= y else concurrence(y, x)
+    return c, math.inf if x == 0.0 else y / x
 
 
-def probability(state: PostSelectedState) -> float:
-    """Detection probability on the state's side.  The two sides share the
-    total flip flux (P_t + P_r <= 1); the exchange model splits it evenly,
-    capping each side at 1/2."""
-    return state.norm_squared
+def probability(x, y):
+    """Detection probability x^2 + y^2 of a side whose weights have
+    magnitudes x and y.  The two sides share the total flip flux
+    (P_t + P_r <= 1); the exchange model splits it evenly, capping each
+    side at 1/2.  Elementwise on numpy arrays."""
+    return x * x + y * y
 
 
 def observables_at(pt: DimensionlessPoint) -> ObservableSet:
@@ -81,8 +70,8 @@ def observables_at(pt: DimensionlessPoint) -> ObservableSet:
     amps = amplitudes(pt)
     x_t, y_t = abs(amps.t_flipb), abs(amps.t_flipa)
     x_r, y_r = abs(amps.r_flipb), abs(amps.r_flipa)
-    c_t, a_t = _concurrence_ratio(x_t, y_t)
-    c_r, a_r = _concurrence_ratio(x_r, y_r)
+    c_t, a_t = concurrence_and_ratio(x_t, y_t)
+    c_r, a_r = concurrence_and_ratio(x_r, y_r)
     return ObservableSet(
         concurrence_t=c_t,
         probability_t=x_t ** 2 + y_t ** 2,
@@ -103,7 +92,7 @@ def side_arrays(w_updown, w_downup):
     x = np.abs(w_updown)
     y = np.abs(w_downup)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return concurrence(np.minimum(x, y), np.maximum(x, y)), x * x + y * y, y / x
+        return concurrence(np.minimum(x, y), np.maximum(x, y)), probability(x, y), y / x
 
 
 def model1_probability(omega_a, omega_b, sin2_kd):

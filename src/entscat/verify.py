@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closedform import amplitudes, dressed_coefficients, site_coefficients
-from .core import DimensionlessPoint, ModelKind, validate
+from .core import DimensionlessPoint, DomainError, ModelKind, validate
 from .matching import amplitude_set, build_matching_system, solve_system
 from .observables import observables_at
 
@@ -64,15 +64,14 @@ def sample_points(model: ModelKind, samples: int, seed: int) -> list[Dimensionle
     return points[:samples]
 
 
-_BLOCK = 64
-
-
 def _series_sigma(f: complex, r_own: complex, r_same_partner: complex, e2: complex) -> complex:
-    """Direct term-by-term summation of the dressing self-energy, with
-    enough terms that the analytic tail bound drops below 1e-14.
+    """Direct summation of the dressing self-energy, f^2 r_same E^2 times
+    1 + q + ... + q^(n-1) with q = r_own r_same E^2, with enough terms n
+    that the analytic tail bound drops below 1e-14.
 
-    The powers are built as q^(64j) * q^i, so that only one exponent in 64
-    takes numpy's general complex power; the others multiply."""
+    The n-term partial sum is formed exactly by binary doubling over the
+    bits of n, S_2m = S_m (1 + q^m) and S_(m+1) = 1 + q S_m, so it takes
+    O(log n) operations and never forms the closed form 1/(1 - q)."""
     q = r_own * r_same_partner * e2
     prefactor = f * f * r_same_partner * e2
     mag_q = abs(q)
@@ -84,9 +83,12 @@ def _series_sigma(f: complex, r_own: complex, r_same_partner: complex, e2: compl
     tail_target = 1e-14 * (1.0 - mag_q) / abs(prefactor)
     if tail_target < 1.0:
         terms = max(terms, min(int(math.log(tail_target) / math.log(mag_q)) + 2, 500_000))
-    block_powers = np.power(q, _BLOCK * np.arange(-(-terms // _BLOCK)))
-    powers = (block_powers[:, None] * np.power(q, np.arange(_BLOCK))).ravel()[:terms]
-    return prefactor * complex(powers[::-1].sum())  # small terms first
+    total, power = 0.0, 1.0  # S_m and q^m, from m = 0
+    for bit in bin(terms)[2:]:
+        total, power = total * (1.0 + power), power * power
+        if bit == "1":
+            total, power = 1.0 + q * total, q * power
+    return prefactor * total
 
 
 def dressing_series_deviation(pt: DimensionlessPoint) -> float:
@@ -115,7 +117,10 @@ def run_verification(
     flux-closure identities; contact model adds the dressing series check.
     The oracle solves each model's samples as one stack; the closed side
     runs point by point through the scalar path that ``entscat point`` uses.
+    Raises DomainError for fewer than one sample.
     """
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples!r}")
     report = VerificationReport(samples_per_model=samples, seed=seed)
     for model in models:
         tag = model.value
@@ -132,9 +137,9 @@ def run_verification(
             extras = [dressing]
 
         points = sample_points(model, samples, seed)
-        values = np.array([(p.omega_a, p.omega_b, p.phase) for p in points], dtype=float).reshape(-1, 3)
+        values = np.array([(p.omega_a, p.omega_b, p.phase) for p in points], dtype=float)
         stack = DimensionlessPoint(*values.T, model)
-        solutions = solve_system(build_matching_system(stack), stack)
+        solutions = solve_system(*build_matching_system(stack), stack)
         for pt, solution in zip(points, solutions):
             closed = amplitudes(pt)
             numeric = amplitude_set(solution)

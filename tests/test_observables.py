@@ -7,17 +7,15 @@ from hypothesis import strategies as st
 
 from entscat import (
     DimensionlessPoint,
+    DomainError,
     ModelKind,
-    Side,
     amplitudes,
     concurrence_and_ratio,
     model1_probability,
     model1_ratio,
     observables_at,
-    post_selected_state,
-    probability,
 )
-from entscat.observables import PostSelectedState
+from entscat.observables import post_selected_state, probability
 
 XY = ModelKind.SPIN_EXCHANGE
 HEIS = ModelKind.HEISENBERG_CONTACT
@@ -28,32 +26,31 @@ phases = st.floats(0.0, math.pi, exclude_max=True)
 
 def test_post_selected_state_picks_the_right_amplitudes():
     amp = amplitudes(DimensionlessPoint(1.0, 1.0, math.pi / 2, XY))
-    trans = post_selected_state(amp, Side.TRANSMITTED)
-    refl = post_selected_state(amp, Side.REFLECTED)
-    assert (trans.coeff_updown, trans.coeff_downup) == (amp.t_flipb, amp.t_flipa)
-    assert (refl.coeff_updown, refl.coeff_downup) == (amp.r_flipb, amp.r_flipa)
+    assert post_selected_state(amp, "t") == (amp.t_flipb, amp.t_flipa)
+    assert post_selected_state(amp, "r") == (amp.r_flipb, amp.r_flipa)
+    with pytest.raises(DomainError):
+        post_selected_state(amp, "both")
 
 
 class TestConcurrenceAndRatio:
     @given(x=st.floats(1e-6, 10.0), theta=st.floats(0.0, 2.0 * math.pi))
     @settings(max_examples=100)
     def test_equal_magnitudes_are_maximally_entangled(self, x, theta):
-        state = PostSelectedState(x, x * cmath.exp(1j * theta), Side.TRANSMITTED)
-        c, a = concurrence_and_ratio(state)
+        c, a = concurrence_and_ratio(x, abs(x * cmath.exp(1j * theta)))
         assert c == pytest.approx(1.0, abs=1e-12)
         assert a == pytest.approx(1.0, rel=1e-12)
 
     def test_single_branch_state_is_product(self):
-        c, a = concurrence_and_ratio(PostSelectedState(1.0, 0.0, Side.TRANSMITTED))
+        c, a = concurrence_and_ratio(1.0, 0.0)
         assert (c, a) == (0.0, 0.0)
 
     def test_other_single_branch_gives_infinite_ratio(self):
-        c, a = concurrence_and_ratio(PostSelectedState(0.0, 0.5, Side.REFLECTED))
+        c, a = concurrence_and_ratio(0.0, 0.5)
         assert c == 0.0
         assert math.isinf(a)
 
     def test_nothing_detected_is_flagged_undefined(self):
-        c, a = concurrence_and_ratio(PostSelectedState(0.0, 0.0, Side.TRANSMITTED))
+        c, a = concurrence_and_ratio(0.0, 0.0)
         assert c is None and a is None
 
     @given(
@@ -67,8 +64,8 @@ class TestConcurrenceAndRatio:
         x = complex(re_x, im_x)
         y = complex(re_y, im_y)
         scale = 3.7 * cmath.exp(0.4j)
-        c1, _ = concurrence_and_ratio(PostSelectedState(x, y, Side.TRANSMITTED))
-        c2, _ = concurrence_and_ratio(PostSelectedState(scale * x, scale * y, Side.TRANSMITTED))
+        c1, _ = concurrence_and_ratio(abs(x), abs(y))
+        c2, _ = concurrence_and_ratio(abs(scale * x), abs(scale * y))
         if c1 is None:
             assert c2 is None
         else:
@@ -78,15 +75,15 @@ class TestConcurrenceAndRatio:
 class TestProbability:
     def test_resonant_reference_point(self):
         amp = amplitudes(DimensionlessPoint(1.0, 1.0, math.pi / 2, XY))
-        assert probability(post_selected_state(amp, Side.TRANSMITTED)) == pytest.approx(0.4, abs=1e-12)
+        assert probability(*map(abs, post_selected_state(amp, "t"))) == pytest.approx(0.4, abs=1e-12)
 
     def test_antiresonant_reference_point(self):
         amp = amplitudes(DimensionlessPoint(1.0, 1.0, math.pi, XY))
-        assert probability(post_selected_state(amp, Side.TRANSMITTED)) == pytest.approx(2.0 / 9.0, abs=1e-12)
+        assert probability(*map(abs, post_selected_state(amp, "t"))) == pytest.approx(2.0 / 9.0, abs=1e-12)
 
     def test_free_particle_detects_nothing(self):
         amp = amplitudes(DimensionlessPoint(0.0, 0.0, 1.0, XY))
-        assert probability(post_selected_state(amp, Side.TRANSMITTED)) == 0.0
+        assert probability(*map(abs, post_selected_state(amp, "t"))) == 0.0
 
 
 class TestObservablesAt:

@@ -41,3 +41,10 @@ def test_all_lists_exactly_the_imported_names():
     imported = [alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert len(entscat.__all__) == len(set(entscat.__all__))
     assert set(entscat.__all__) == set(imported)
+
+
+def test_no_bare_assert_in_the_package():
+    # failures are typed errors carrying the point, never a bare assert
+    for path in sorted(Path(entscat.__file__).parent.glob("*.py")):
+        asserts = [node.lineno for node in ast.walk(ast.parse(path.read_text("utf-8"))) if isinstance(node, ast.Assert)]
+        assert not asserts, f"assert statements in {path.name} at lines {asserts}"

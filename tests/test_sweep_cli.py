@@ -125,6 +125,19 @@ class TestSerialization:
         assert doc["rows"][0][1] == 0.0
         assert doc["meta"]["model"] == "heis"
 
+    def test_defined_infinite_ratio_is_inf_in_csv_and_null_in_json(self, tmp_path):
+        # only the A-flip weight survives: C = 0 and a = inf are both defined
+        grid = run_scan((Axis("omegaA", 0.0, 1.0, 3),), {"omegaB": 0.0, "phase": 1.0}, XY, ("C_t", "a_t"))
+        write_csv(grid, tmp_path / "r.csv")
+        write_json(grid, tmp_path / "r.json")
+        assert tmp_path.joinpath("r.csv").read_text("utf-8").split("\n")[2:] == [
+            "0.0,,", "0.5,0.0,inf", "1.0,0.0,inf", ""
+        ]
+        # JSON has no inf: the defined inf and the undefined 0/0 both read null
+        assert json.loads(tmp_path.joinpath("r.json").read_text("utf-8"))["rows"] == [
+            [None, None], [0.0, None], [0.0, None]
+        ]
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -139,6 +152,10 @@ class TestCli:
         p_line = [ln for ln in out.splitlines() if ln.startswith("transmitted")][0]
         p_value = float(p_line.split("P=")[1].split()[0])
         assert p_value == pytest.approx(2.0 / 9.0, abs=1e-12)
+
+    def test_point_prints_a_defined_infinite_ratio_as_inf(self, capsys):
+        assert run_cli("point", "--omegaA", "1", "--omegaB", "0", "--phase", "1", "--side", "t") == 0
+        assert capsys.readouterr().out.endswith("transmitted: C=0.0 P=0.25 a=inf\n")
 
     def test_point_undefined_concurrence(self, capsys):
         assert run_cli("point", "--model", "xy", "--omegaA", "0", "--omegaB", "0", "--phase", "1") == 0

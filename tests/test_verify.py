@@ -9,6 +9,7 @@ import pytest
 
 from entscat import (
     DimensionlessPoint,
+    DomainError,
     ModelKind,
     amplitudes,
     dressed_coefficients,
@@ -115,6 +116,12 @@ class TestCheckResult:
         assert (check.worst, check.worst_point, check.ok) == (1e-14, large, True)
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_battery_rejects_fewer_than_one_sample(samples):
+    with pytest.raises(DomainError, match="samples must be >= 1"):
+        run_verification(samples, 1)
+
+
 @pytest.mark.parametrize("seed", [1, 42])
 def test_battery_matches_the_per_point_loop(seed):
     stacked = run_verification(200, seed)
@@ -124,7 +131,7 @@ def test_battery_matches_the_per_point_loop(seed):
         assert got.tolerance == want.tolerance
         assert type(got.worst) is float
         if got.name == DRESSING:
-            # only the order in which the series' powers are formed changed
+            # only the way the series' partial sum is formed changed
             assert abs(got.worst - want.worst) <= 1e-13
         else:
             assert (got.worst, got.worst_point) == (want.worst, want.worst_point), got.name
