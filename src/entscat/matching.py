@@ -138,12 +138,7 @@ def solve_system(matrix: np.ndarray, rhs: np.ndarray, point: DimensionlessPoint 
     return solution.reshape(shape)
 
 
-def amplitude_set(solution: np.ndarray) -> AmplitudeSet:
-    """The outgoing amplitudes in one solution of the matching system."""
-    return AmplitudeSet(*solution[_OUTGOING].tolist())
-
-
 def solve_amplitudes_numeric(pt: DimensionlessPoint) -> AmplitudeSet:
     """Solve the matching system and extract the outgoing amplitudes."""
     pt = validate(pt)
-    return amplitude_set(solve_system(*build_matching_system(pt), pt))
+    return AmplitudeSet(*solve_system(*build_matching_system(pt), pt)[_OUTGOING].tolist())

@@ -74,10 +74,10 @@ def observables_at(pt: DimensionlessPoint) -> ObservableSet:
     c_r, a_r = concurrence_and_ratio(x_r, y_r)
     return ObservableSet(
         concurrence_t=c_t,
-        probability_t=x_t ** 2 + y_t ** 2,
+        probability_t=probability(x_t, y_t),
         ratio_a_t=a_t,
         concurrence_r=c_r,
-        probability_r=x_r ** 2 + y_r ** 2,
+        probability_r=probability(x_r, y_r),
         ratio_a_r=a_r,
     )
 
