@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
-"""Record the benchmark of this checkout, optionally against a baseline
-checkout, as ``BENCH_<pr>.json``:
+"""Record the benchmark of this checkout against a baseline checkout as
+``BENCH_<pr>.json``:
 
-    python3 scripts/bench_record.py --pr 7 --seeds 100 101 102 --seconds 30 \\
+    python3 scripts/bench_record.py --pr 7 --seeds 100 101 102 \\
         --baseline ../parent-checkout
 
 For every workload in ``BENCHMARK.json`` and every seed, it runs the
-benchmark command that file names (``perfbench/run.py``) with ``--trace 0``
-in each tree, the two trees alternating which goes first.  The record keeps
-each run's environment and result line, and per tree and workload the
-median and quartiles of every metric.  With a baseline it also counts, per
-metric, the seeds on which this checkout did better, using the direction
-``BENCHMARK.json`` declares.  A run that prints no result line is kept with
-its error output and left out of the statistics.
+benchmark command that file names (``perfbench/run.py``) for the
+``run_seconds`` it declares, with ``--trace 0``, in each tree, the two
+trees alternating which goes first.  The record keeps each tree's commit
+and whether its tracked files differed from that commit, each run's
+environment and result line, and per tree and workload the median and
+quartiles of every metric and, per metric, the seeds on which this checkout
+did better, using the direction ``BENCHMARK.json`` declares.  A run that
+prints no result line is kept with its error output and left out of the
+statistics.
 """
 
 from __future__ import annotations
@@ -73,6 +75,18 @@ def pairs_won(baseline: list[dict], change: list[dict], better: dict[str, str]) 
     return won
 
 
+def tree_identity(tree: Path) -> dict:
+    """The commit a tree is checked out at and whether its tracked files
+    differ from it; both None outside a git checkout."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=tree, capture_output=True, text=True)
+
+    head = git("rev-parse", "HEAD")
+    if head.returncode != 0:
+        return {"commit": None, "dirty": None}
+    return {"commit": head.stdout.strip(), "dirty": bool(git("status", "--porcelain", "--untracked-files=no").stdout)}
+
+
 def run_once(tree: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
     argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
@@ -83,11 +97,13 @@ def run_once(tree: Path, command: list[str], workload: str, seed: int, seconds: 
     return run
 
 
-def record(pr: int, seeds: list[int], seconds: float, baseline: Path | None) -> dict:
+def record(pr: int, seeds: list[int], baseline: Path) -> dict:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     names = [w["name"] for w in bench["workloads"]]
-    trees = {"change": ROOT} if baseline is None else {"baseline": baseline.resolve(), "change": ROOT}
+    seconds = bench["run_seconds"]
+    trees = {"baseline": baseline.resolve(), "change": ROOT}
+    identities = {tag: tree_identity(tree) for tag, tree in trees.items()}
     runs = {name: {tag: [] for tag in trees} for name in names}
     for i, seed in enumerate(seeds):
         for name in names:
@@ -97,11 +113,11 @@ def record(pr: int, seeds: list[int], seconds: float, baseline: Path | None) -> 
                 runs[name][tag].append(run)
                 status = "no result" if run["result"] is None else "ok"
                 print(f"{name} seed {seed} {tag}: {status}", flush=True)
-    out = {"pr": pr, "seeds": seeds, "seconds": seconds, "command": bench["command"], "workloads": {}}
+    out = {"pr": pr, "seeds": seeds, "seconds": seconds, "command": bench["command"], "trees": identities,
+           "workloads": {}}
     for name in names:
         entry = {tag: {"summary": summarize(r), "runs": r} for tag, r in runs[name].items()}
-        if baseline is not None:
-            entry["change_better"] = pairs_won(runs[name]["baseline"], runs[name]["change"], better)
+        entry["change_better"] = pairs_won(runs[name]["baseline"], runs[name]["change"], better)
         out["workloads"][name] = entry
     return out
 
@@ -110,10 +126,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="record the entscat benchmark as BENCH_<pr>.json")
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--seconds", type=float, default=30.0, help="timed phase of each run")
-    parser.add_argument("--baseline", type=Path, help="root of a checkout to compare against")
+    parser.add_argument("--baseline", type=Path, required=True, help="root of a checkout to compare against")
     args = parser.parse_args(argv)
-    data = record(args.pr, args.seeds, args.seconds, args.baseline)
+    data = record(args.pr, args.seeds, args.baseline)
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(data, indent=1) + "\n")
     print(f"wrote {path}")

@@ -138,7 +138,13 @@ def solve_system(matrix: np.ndarray, rhs: np.ndarray, point: DimensionlessPoint 
     return solution.reshape(shape)
 
 
+def outgoing_amplitudes(solution: np.ndarray) -> np.ndarray:
+    """The six outgoing amplitudes, in AmplitudeSet order, on the last axis
+    of a :func:`solve_system` solution or stack of solutions."""
+    return solution[..., _OUTGOING]
+
+
 def solve_amplitudes_numeric(pt: DimensionlessPoint) -> AmplitudeSet:
     """Solve the matching system and extract the outgoing amplitudes."""
     pt = validate(pt)
-    return AmplitudeSet(*solve_system(*build_matching_system(pt), pt)[_OUTGOING].tolist())
+    return AmplitudeSet(*outgoing_amplitudes(solve_system(*build_matching_system(pt), pt)).tolist())

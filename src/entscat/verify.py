@@ -11,7 +11,7 @@ import numpy as np
 
 from .closedform import _dressed, _site_terms, grid_amplitudes
 from .core import DimensionlessPoint, DomainError, ModelKind, NumericError, UnsupportedModelError, first_cell, validate
-from .matching import _OUTGOING, build_matching_system, solve_system
+from .matching import build_matching_system, outgoing_amplitudes, solve_system
 from .observables import side_arrays
 
 
@@ -117,9 +117,10 @@ def dressing_series_deviation(pt: DimensionlessPoint):
         b = _site_terms(omega_b, pt.model)
         e2 = np.exp(2j * phase)
         *_, sigma_a, sigma_b = _dressed(a, b, e2)
-        # site terms are (t, r, f, t_same, r_same)
-        series_a = _series_sigma(a[2], a[1], b[4], e2)
-        series_b = _series_sigma(b[2], b[1], a[4], e2)
+        _, a_r, a_f, _, a_rs = a
+        _, b_r, b_f, _, b_rs = b
+        series_a = _series_sigma(a_f, a_r, b_rs, e2)
+        series_b = _series_sigma(b_f, b_r, a_rs, e2)
     bad = ~np.isfinite(sigma_a + sigma_b + series_a + series_b)
     if bad.any():
         raw = pt.phase if pt.phase_original is None else pt.phase_original
@@ -151,9 +152,8 @@ def run_verification(
         points = sample_points(model, samples, seed)
         values = np.array([(p.omega_a, p.omega_b, p.phase) for p in points], dtype=float)
         stack = validate(DimensionlessPoint(*values.T, model))
-        solutions = solve_system(*build_matching_system(stack), stack)
+        numeric = outgoing_amplitudes(solve_system(*build_matching_system(stack), stack)).T
         closed = np.stack(grid_amplitudes(stack.omega_a, stack.omega_b, stack.phase, model))
-        numeric = solutions[..., _OUTGOING].T
         flux = np.abs(closed) ** 2
         checks = [  # (name, tolerance, deviation per sample)
             ("closed vs numeric amplitudes", tolerance, np.abs(closed - numeric).max(axis=0)),

@@ -3,6 +3,7 @@ output; nothing here starts a benchmark run."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -66,3 +67,17 @@ def test_pairs_won_follows_each_metrics_direction_and_pairs_by_seed():
     ]
     won = bench_record.pairs_won(baseline, change, {"points_per_s": "higher", "call_p50_us": "lower"})
     assert won == {"points_per_s": {"won": 2, "pairs": 2}, "call_p50_us": {"won": 1, "pairs": 2}}
+
+
+def test_tree_identity_names_the_commit_and_whether_tracked_files_changed(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(repo)]
+    (repo / "a.txt").write_text("1\n")
+    for args in (["init", "-q"], ["add", "a.txt"], ["commit", "-q", "-m", "a"]):
+        subprocess.run([*git, *args], check=True)
+    head = subprocess.run([*git, "rev-parse", "HEAD"], capture_output=True, text=True, check=True).stdout.strip()
+    (repo / "untracked.txt").write_text("x\n")
+    assert bench_record.tree_identity(repo) == {"commit": head, "dirty": False}
+    (repo / "a.txt").write_text("2\n")
+    assert bench_record.tree_identity(repo) == {"commit": head, "dirty": True}
