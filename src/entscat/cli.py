@@ -98,8 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model(p_verify, default=None)
     p_verify.add_argument("--seed", type=int, default=7, help="sampling seed (default: %(default)s)")
     p_verify.add_argument("--samples", type=int, default=1000)
-    p_verify.add_argument("--tol", type=float, default=1e-10,
-                          help="tolerance for solver-route checks (default: 1e-10)")
 
     return parser
 
@@ -212,7 +210,7 @@ def _cmd_optimize(parser, args) -> int:
 
 def _cmd_verify(parser, args) -> int:
     models = tuple(_MODELS.values()) if args.model is None else (_MODELS[args.model],)
-    report = run_verification(args.samples, args.seed, models, args.tol)
+    report = run_verification(args.samples, args.seed, models)
     for check in report.checks:
         status = "PASS" if check.ok else "FAIL"
         print(f"{status} {check.name}: max deviation {check.worst!r} (tolerance {check.tolerance!r})")

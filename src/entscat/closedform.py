@@ -42,7 +42,7 @@ from .core import (
     SiteCoefficients,
     UnsupportedModelError,
     check_opacity,
-    first_cell,
+    point_at,
     validate,
 )
 
@@ -213,22 +213,20 @@ def truncated_amplitudes(pt: DimensionlessPoint, n: int) -> AmplitudeSet:
     return AmplitudeSet(*_at_point(validate(pt), n))
 
 
-def grid_amplitudes(omega_a, omega_b, phase, model: ModelKind, bounces: int | None = None):
+def grid_amplitudes(pt: DimensionlessPoint, bounces: int | None = None):
     """Array form of :func:`amplitudes` (``bounces`` None) or of
     :func:`truncated_amplitudes` (``bounces`` = n, exchange model only).
 
-    ``omega_a``, ``omega_b`` and ``phase`` are broadcastable arrays of
-    opacities and folded phases that the caller has already validated.
-    Returns the six amplitude arrays from the same closed forms as the
-    scalar path; numpy's complex arithmetic may round the last digits
-    differently.  Raises NumericError at the first cell, in row-major order,
-    where an amplitude is not finite.
+    ``pt`` is a validated point whose fields are numpy arrays that broadcast
+    together, its phase folded.  Returns the six amplitude arrays from the
+    same closed forms as the scalar path; numpy's complex arithmetic may
+    round the last digits differently.  Raises NumericError at the first
+    cell, in row-major order, where an amplitude is not finite.
     """
     with np.errstate(all="ignore"):
-        factors = np.exp(1j * phase), np.exp(-1j * phase), np.exp(2j * phase)
-        amps = _closed_forms(omega_a, omega_b, *factors, model, bounces)
+        factors = np.exp(1j * pt.phase), np.exp(-1j * pt.phase), np.exp(2j * pt.phase)
+        amps = _closed_forms(pt.omega_a, pt.omega_b, *factors, pt.model, bounces)
         bad = ~np.isfinite(sum(amps))
     if bad.any():
-        raise _not_finite(DimensionlessPoint(*first_cell(bad, omega_a, omega_b, phase), model))
+        raise _not_finite(point_at(pt, int(np.argmax(bad))))
     return amps
-

@@ -236,6 +236,15 @@ def validate(pt: DimensionlessPoint) -> DimensionlessPoint:
     return DimensionlessPoint(pt.omega_a, pt.omega_b, fold_phase(phase), pt.model, original)
 
 
+def point_at(pt: DimensionlessPoint, index: int) -> DimensionlessPoint:
+    """Sample ``index``, in row-major order, of a point whose fields are
+    numpy arrays that broadcast together, as the validated point it would be
+    on its own (from the raw phase where :func:`validate` kept one)."""
+    phase = pt.phase if pt.phase_original is None else pt.phase_original
+    fields = np.broadcast_arrays(pt.omega_a, pt.omega_b, phase)
+    return validate(DimensionlessPoint(*(x.flat[index].item() for x in fields), pt.model))
+
+
 def to_dimensionless(p: PhysicalPoint, model: ModelKind) -> DimensionlessPoint:
     """Convert paper-unit couplings and momentum to the dimensionless point.
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AmplitudeSet, DimensionlessPoint, ModelKind, NumericError, validate
+from .core import AmplitudeSet, DimensionlessPoint, ModelKind, NumericError, point_at, validate
 
 # Exchange coupling swaps the mediator spin with the site spin, connecting
 # the no-flip channel to the channel where that site is flipped.
@@ -103,16 +103,6 @@ def build_matching_system(pt: DimensionlessPoint) -> tuple[np.ndarray, np.ndarra
     return matrix, rhs
 
 
-def _sample(point: DimensionlessPoint | None, index: int) -> DimensionlessPoint | None:
-    """Sample ``index`` (row-major) of a stacked point, as the validated
-    one-point form that :func:`solve_amplitudes_numeric` would pass."""
-    if point is None or not isinstance(point.phase, np.ndarray):
-        return point
-    phase = point.phase if point.phase_original is None else point.phase_original
-    a, b, p = (np.ravel(x)[index].item() for x in (point.omega_a, point.omega_b, phase))
-    return validate(DimensionlessPoint(a, b, p, point.model))
-
-
 def solve_system(matrix: np.ndarray, rhs: np.ndarray, point: DimensionlessPoint | None = None) -> np.ndarray:
     """Solve M x = b, guarding against ill-conditioning and bad residuals.
 
@@ -130,10 +120,10 @@ def solve_system(matrix: np.ndarray, rhs: np.ndarray, point: DimensionlessPoint 
     bad = residual > 1e-10
     if bad.any():
         i = int(np.argmax(bad))
-        sample = _sample(point, i)
+        sample = None if point is None else point_at(point, i)
         raise NumericError(f"matching solve residual {residual[i]:.3e} too large at {sample!r}", sample)
     if n < len(well):
-        sample = _sample(point, n)
+        sample = None if point is None else point_at(point, n)
         raise NumericError(f"matching matrix ill-conditioned (cond ~ {cond[n]:.3e}) at {sample!r}", sample)
     return solution.reshape(shape)
 

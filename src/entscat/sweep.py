@@ -153,14 +153,14 @@ def make_grid(
     return SweepGrid(tuple(axes), tuple(columns), tuple(rows), {**meta, **extra})
 
 
-def _resolve_grid(axes: tuple[Axis, ...], fixed: dict[str, float], model: ModelKind):
-    """Opacities and folded phase of every cell, broadcasting to the grid in
-    row-major axis order: :func:`resolve_point` run once on the axes."""
+def _resolve_grid(axes: tuple[Axis, ...], fixed: dict[str, float], model: ModelKind) -> DimensionlessPoint:
+    """Every cell as one point, fields broadcasting to the grid in row-major
+    axis order, phase folded: :func:`resolve_point` run once on the axes."""
     params = dict(fixed)
     for i, ax in enumerate(axes):
         params[ax.name] = np.reshape(ax.values(), [-1 if j == i else 1 for j in range(len(axes))])
     pt = resolve_point(params, model)
-    return pt.omega_a, pt.omega_b, fold_phase(pt.phase)
+    return DimensionlessPoint(pt.omega_a, pt.omega_b, fold_phase(pt.phase), model)
 
 
 def _columns(shape: tuple[int, ...], arrays) -> list[list[float | None]]:
@@ -189,7 +189,7 @@ def run_scan(
     for col in columns:
         if col not in KNOWN_COLUMNS:
             raise DomainError(f"unknown column {col!r}; known: {KNOWN_COLUMNS}")
-    amps = grid_amplitudes(*_resolve_grid(axes, fixed, model), model)
+    amps = grid_amplitudes(_resolve_grid(axes, fixed, model))
     c_t, p_t, a_t = side_arrays(amps[2], amps[4])
     c_r, p_r, a_r = side_arrays(amps[3], amps[5])
     by_name = {"C_t": c_t, "P_t": p_t, "C_r": c_r, "P_r": p_r, "a_t": a_t, "a_r": a_r}
@@ -214,7 +214,7 @@ def run_truncation(
     cells = _resolve_grid((axis,), fixed, model)
     arrays = []
     for n in (*bounce_orders, None):
-        amps = grid_amplitudes(*cells, model, n)
+        amps = grid_amplitudes(cells, n)
         arrays += side_arrays(amps[2], amps[4])[:2]
     rows = zip(*_columns((axis.count,), arrays))
     orders = ",".join(str(n) for n in bounce_orders)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closedform import _dressed, _site_terms, grid_amplitudes
-from .core import DimensionlessPoint, DomainError, ModelKind, NumericError, UnsupportedModelError, first_cell, validate
+from .core import DimensionlessPoint, ModelKind, NumericError, UnsupportedModelError, check_rules, point_at, validate
 from .matching import build_matching_system, outgoing_amplitudes, solve_system
 from .observables import side_arrays
 
@@ -26,18 +26,14 @@ class CheckResult:
     def ok(self) -> bool:
         return self.worst <= self.tolerance
 
-    def update(self, deviation: float, point: DimensionlessPoint) -> None:
-        """Keep the largest deviation seen and its point; the first NaN is
-        kept as the worst, so the check fails."""
-        if deviation > self.worst or (math.isnan(deviation) and not math.isnan(self.worst)):
-            self.worst = deviation
-            self.worst_point = point
-
-    def update_all(self, deviations: np.ndarray, points: list[DimensionlessPoint]) -> None:
-        """:meth:`update` with each deviation and its point in turn, in one
-        step: only the first NaN, or else the first largest value, can win."""
+    @classmethod
+    def from_deviations(cls, name: str, tolerance: float, deviations: np.ndarray, stack: DimensionlessPoint):
+        """The check of ``deviations``, one per sample of ``stack``: the worst
+        is the first NaN, so the check fails, or else the first largest
+        value, with its sample; no sample when every deviation is 0."""
         i = int(np.argmax(deviations))  # the first NaN if there is one
-        self.update(float(deviations[i]), points[i])
+        worst = float(deviations[i])
+        return cls(name, tolerance, worst, None if worst == 0.0 else point_at(stack, i))
 
 
 @dataclass
@@ -51,23 +47,17 @@ class VerificationReport:
         return all(c.ok for c in self.checks)
 
 
-def sample_points(model: ModelKind, samples: int, seed: int) -> list[DimensionlessPoint]:
-    """Seeded sample: opacities uniform on [0, 20], phase uniform on [0, pi),
-    with the transparent corners forced in."""
+def sample_points(model: ModelKind, samples: int, seed: int) -> DimensionlessPoint:
+    """Seeded sample, as one validated point whose fields are arrays: the
+    transparent corners, then opacities uniform on [0, 20] and phases
+    uniform on [0, pi)."""
     rng = np.random.default_rng(seed)
-    points = [
-        DimensionlessPoint(0.0, 0.0, 1.0, model),
-        DimensionlessPoint(0.0, 1.0, 2.0, model),
-        DimensionlessPoint(1.0, 0.0, 0.5, model),
-    ]
-    n = max(samples - len(points), 0)
+    corners = [(0.0, 0.0, 1.0), (0.0, 1.0, 2.0), (1.0, 0.0, 0.5)]
+    n = max(samples - len(corners), 0)
     omegas = rng.uniform(0.0, 20.0, size=(n, 2))
     phases = rng.uniform(0.0, math.pi, size=n)
-    points += [
-        DimensionlessPoint(float(w[0]), float(w[1]), float(p), model)
-        for w, p in zip(omegas, phases)
-    ]
-    return points[:samples]
+    values = np.concatenate([corners, np.column_stack([omegas, phases])])[:samples]
+    return validate(DimensionlessPoint(*values.T, model))
 
 
 def _series_sigma(f, r_own, r_same_partner, e2):
@@ -123,55 +113,52 @@ def dressing_series_deviation(pt: DimensionlessPoint):
         series_b = _series_sigma(b_f, b_r, a_rs, e2)
     bad = ~np.isfinite(sigma_a + sigma_b + series_a + series_b)
     if bad.any():
-        raw = pt.phase if pt.phase_original is None else pt.phase_original
-        cell = validate(DimensionlessPoint(*first_cell(bad, omega_a, omega_b, raw), pt.model))
+        cell = point_at(pt, int(np.argmax(bad)))
         raise NumericError(f"dressing check not computable in float64 (|q| ~ 1 or overflow) at {cell!r}", cell)
     deviation = np.maximum(abs(sigma_a - series_a), abs(sigma_b - series_b))
     return deviation if np.ndim(pt.phase) else float(deviation[0])
+
+
+def _deviations(stack: DimensionlessPoint) -> list[tuple[str, float, np.ndarray]]:
+    """(name, tolerance, deviation per sample) of each check on the stacked
+    sample ``stack``: one oracle solve, and the closed side through the grid
+    path that ``entscat scan`` uses."""
+    numeric = outgoing_amplitudes(solve_system(*build_matching_system(stack), stack)).T
+    closed = np.stack(grid_amplitudes(stack))
+    flux = np.abs(closed) ** 2
+    checks = [
+        ("closed vs numeric amplitudes", 1e-10, np.abs(closed - numeric).max(axis=0)),
+        ("closed-form flux unitarity", 1e-12, np.abs(flux.sum(axis=0) - 1.0)),
+        ("numeric flux unitarity", 1e-10, np.abs((np.abs(numeric) ** 2).sum(axis=0) - 1.0)),
+    ]
+    if stack.model is ModelKind.SPIN_EXCHANGE:
+        c_t, p_t, _ = side_arrays(closed[2], closed[4])
+        c_r, p_r, _ = side_arrays(closed[3], closed[5])
+        c_gap = np.where(np.isnan(c_t), 0.0, np.abs(c_t - c_r))  # C counts where C_t is defined
+        return checks + [
+            ("no-flip flux + 2P closure", 1e-12, np.abs(flux[0] + flux[1] + p_t + p_r - 1.0)),
+            ("transmitted/reflected symmetry", 1e-12, np.maximum(c_gap, np.abs(p_t - p_r))),
+        ]
+    return checks + [("dressing vs direct series", 1e-12, dressing_series_deviation(stack))]
 
 
 def run_verification(
     samples: int,
     seed: int,
     models: tuple[ModelKind, ...] = (ModelKind.SPIN_EXCHANGE, ModelKind.HEISENBERG_CONTACT),
-    tolerance: float = 1e-10,
 ) -> VerificationReport:
     """Run the full cross-validation battery and collect worst deviations.
 
     Checks per model: componentwise closed-form vs numeric-solve agreement
     and both unitarity sums.  Exchange model adds the side-symmetry and
     flux-closure identities; contact model adds the dressing series check.
-    Each model's samples are checked as one stack: one oracle solve, and the
-    closed side through the grid path that ``entscat scan`` uses.
-    Raises DomainError for fewer than one sample.
+    Each model's samples are checked as one stack.  Raises DomainError for
+    fewer than one sample or a negative seed.
     """
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples!r}")
+    check_rules(("samples", samples, samples >= 1, "must be >= 1"), ("seed", seed, seed >= 0, "must be >= 0"))
     report = VerificationReport(samples_per_model=samples, seed=seed)
     for model in models:
-        points = sample_points(model, samples, seed)
-        values = np.array([(p.omega_a, p.omega_b, p.phase) for p in points], dtype=float)
-        stack = validate(DimensionlessPoint(*values.T, model))
-        numeric = outgoing_amplitudes(solve_system(*build_matching_system(stack), stack)).T
-        closed = np.stack(grid_amplitudes(stack.omega_a, stack.omega_b, stack.phase, model))
-        flux = np.abs(closed) ** 2
-        checks = [  # (name, tolerance, deviation per sample)
-            ("closed vs numeric amplitudes", tolerance, np.abs(closed - numeric).max(axis=0)),
-            ("closed-form flux unitarity", 1e-12, np.abs(flux.sum(axis=0) - 1.0)),
-            ("numeric flux unitarity", tolerance, np.abs((np.abs(numeric) ** 2).sum(axis=0) - 1.0)),
-        ]
-        if model is ModelKind.SPIN_EXCHANGE:
-            c_t, p_t, _ = side_arrays(closed[2], closed[4])
-            c_r, p_r, _ = side_arrays(closed[3], closed[5])
-            c_gap = np.where(np.isnan(c_t), 0.0, np.abs(c_t - c_r))  # C counts where C_t is defined
-            checks += [
-                ("no-flip flux + 2P closure", 1e-12, np.abs(flux[0] + flux[1] + p_t + p_r - 1.0)),
-                ("transmitted/reflected symmetry", 1e-12, np.maximum(c_gap, np.abs(p_t - p_r))),
-            ]
-        else:
-            checks.append(("dressing vs direct series", 1e-12, dressing_series_deviation(stack)))
-        for name, check_tolerance, deviations in checks:
-            check = CheckResult(f"{model.value}: {name}", check_tolerance)
-            check.update_all(deviations, points)
-            report.checks.append(check)
+        stack = sample_points(model, samples, seed)
+        for name, tolerance, deviations in _deviations(stack):
+            report.checks.append(CheckResult.from_deviations(f"{model.value}: {name}", tolerance, deviations, stack))
     return report

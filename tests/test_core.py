@@ -16,6 +16,7 @@ from entscat import (
     to_dimensionless,
     validate,
 )
+from entscat.core import point_at
 
 XY = ModelKind.SPIN_EXCHANGE
 HEIS = ModelKind.HEISENBERG_CONTACT
@@ -104,6 +105,25 @@ class TestValidate:
         with pytest.raises(ValidationError) as stacked:
             validate(DimensionlessPoint(*np.array(cells).T, XY))
         assert str(stacked.value) == str(alone.value)
+
+
+class TestPointAt:
+    def test_a_sample_is_the_point_it_would_be_on_its_own(self):
+        cells = [(0.5, 1.0, 2.0), (1.0, 0.0, -0.25), (2.0, 3.0, 3.0 * math.pi)]
+        stack = validate(DimensionlessPoint(*np.array(cells).T, HEIS))
+        for i, cell in enumerate(cells):
+            one = point_at(stack, i)
+            assert one == validate(DimensionlessPoint(*cell, HEIS))  # the raw phase is folded again
+            assert all(type(x) is float for x in (one.omega_a, one.omega_b, one.phase))
+        assert point_at(stack, 0).phase_original is None  # already canonical
+
+    def test_fields_broadcast_and_the_index_is_row_major(self):
+        stack = DimensionlessPoint(np.array([[1.0], [2.0]]), np.array([3.0, 4.0, 5.0]), 0.5, XY)
+        assert point_at(stack, 4) == DimensionlessPoint(2.0, 4.0, 0.5, XY)
+
+    def test_a_scalar_point_is_its_own_sample(self):
+        pt = validate(DimensionlessPoint(1.0, 2.0, -0.25, XY))
+        assert point_at(pt, 0) == pt
 
 
 @given(

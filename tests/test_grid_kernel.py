@@ -156,7 +156,7 @@ class TestGridValidation:
 
     @pytest.mark.parametrize("axis", [Axis("phase", -7.0, 7.0, 2001), Axis("phase", -1e3, 1e3, 20001)])
     def test_phase_axis_folds_exactly_like_validate(self, axis):
-        _, _, folded = _resolve_grid((axis,), {"omegaA": 1.0, "omegaB": 2.0}, XY)
+        folded = _resolve_grid((axis,), {"omegaA": 1.0, "omegaB": 2.0}, XY).phase
         expected = [validate(DimensionlessPoint(1.0, 2.0, v, XY)).phase for v in axis.values()]
         assert folded.tolist() == expected
 
@@ -235,7 +235,7 @@ def test_grid_resolves_exactly_as_its_cells(case):
     for field in ("omega_a", "omega_b", "phase"):
         values = np.broadcast_to(getattr(grid, field), shape).ravel()
         assert values.tobytes() == np.array([getattr(c, field) for c in cells]).tobytes(), field
-    folded = _resolve_grid(axes, fixed, model)[2]
+    folded = _resolve_grid(axes, fixed, model).phase
     assert np.broadcast_to(folded, shape).ravel().tolist() == [validate(c).phase for c in cells]
 
 

@@ -16,6 +16,7 @@ from entscat import (
     solve_amplitudes_numeric,
     solve_system,
 )
+from entscat.core import point_at
 from entscat.verify import sample_points
 
 XY = ModelKind.SPIN_EXCHANGE
@@ -60,12 +61,6 @@ def test_solver_residual_is_tiny():
     assert np.abs(matrix @ x - rhs).max() < 1e-12
 
 
-def _stack(points):
-    """The points as one point whose fields are arrays."""
-    values = np.array([(p.omega_a, p.omega_b, p.phase) for p in points])
-    return DimensionlessPoint(*values.T, points[0].model)
-
-
 def _raised(matrix, rhs, point):
     with pytest.raises(NumericError) as info:
         solve_system(matrix, rhs, point)
@@ -74,12 +69,12 @@ def _raised(matrix, rhs, point):
 
 @pytest.mark.parametrize("model", [XY, HEIS])
 def test_stacked_systems_equal_the_per_point_ones_bit_for_bit(model):
-    points = sample_points(model, 300, 11)
-    stack = _stack(points)
+    stack = sample_points(model, 300, 11)
     matrix, rhs = build_matching_system(stack)
     solution = solve_system(matrix, rhs, stack)
     assert matrix.shape == (300, 12, 12) and rhs.shape == (300, 12)
-    for i, pt in enumerate(points):
+    for i in range(300):
+        pt = point_at(stack, i)
         one_matrix, one_rhs = build_matching_system(pt)
         assert matrix[i].tobytes() == one_matrix.tobytes()
         assert rhs[i].tobytes() == one_rhs.tobytes()
@@ -90,22 +85,21 @@ def test_singular_system_raises():
     with pytest.raises(NumericError):
         solve_system(np.zeros((12, 12), dtype=complex), np.zeros(12, dtype=complex))
     # in a stack, the error is the one its first failing system raises alone
-    points = sample_points(HEIS, 4, 5)
-    stack = _stack(points)
+    stack = sample_points(HEIS, 4, 5)
     matrix, rhs = build_matching_system(stack)
     matrix[2] = 0.0
-    alone = _raised(matrix[2], rhs[2], points[2])
-    assert alone[2] == points[2]
+    sample = DimensionlessPoint(*(float(x[2]) for x in (stack.omega_a, stack.omega_b, stack.phase)), HEIS)
+    alone = _raised(matrix[2], rhs[2], sample)
+    assert alone[2] == sample
     assert _raised(matrix, rhs, stack) == alone
 
 
 def test_stack_raises_for_a_bad_residual_before_a_later_singular_system():
-    points = sample_points(XY, 4, 5)
-    stack = _stack(points)
+    stack = sample_points(XY, 4, 5)
     matrix, rhs = build_matching_system(stack)
     rhs[1] *= 1e12  # well conditioned, but the residual scales with the solution
     matrix[2] = 0.0
-    alone = _raised(matrix[1], rhs[1], points[1])
+    alone = _raised(matrix[1], rhs[1], point_at(stack, 1))
     assert "residual" in alone[1]
     assert _raised(matrix, rhs, stack) == alone
 

@@ -260,6 +260,7 @@ class TestCliUsageErrors:
             ["truncate", "--model", "xy", "--gA", "1", "--gB", "1", "--axis", "k=1:2:5", "--n", "0,-2"],
             ["optimize", "report"],  # missing omegas
             ["verify", "--samples", "0"],
+            ["verify", "--seed", "-1", "--samples", "1"],  # a negative seed
             ["bogus-command"],
             # an axis truncate would ignore; a bad path makes a missed rejection fail too
             ["truncate", "--gA", "1", "--gB", "1", "--k", "2", "--axis", "bogus=1:2:3", "--n", "0",
@@ -287,7 +288,7 @@ class TestCliUsageErrors:
             "scan": {"--model", "--format", "--out", "--axis", "--columns"} | params,
             "truncate": {"--model", "--format", "--out", "--axis", "--n"} | params,
             "optimize": {"--omegaA", "--omegaB"},
-            "verify": {"--model", "--seed", "--samples", "--tol"},
+            "verify": {"--model", "--seed", "--samples"},
         }
         subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
         for name, sub in subparsers.items():

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entscat import (
     DimensionlessPoint,
@@ -19,10 +21,13 @@ from entscat import (
     run_verification,
     site_coefficients,
     solve_amplitudes_numeric,
+    validate,
 )
+from entscat.core import point_at
 from entscat.verify import (
     CheckResult,
     VerificationReport,
+    _deviations,
     _series_sigma,
     dressing_series_deviation,
     sample_points,
@@ -60,15 +65,38 @@ def _reference_dressing_deviation(pt):
     return max(abs(sigma_a - series_a), abs(sigma_b - series_b))
 
 
-def _reference_verification(samples, seed, models=(XY, HEIS), tolerance=1e-10):
+def _reference_samples(model, samples, seed):
+    """The seeded sample one point at a time: the transparent corners, then
+    the draws of :func:`sample_points` in the same order."""
+    rng = np.random.default_rng(seed)
+    points = [
+        DimensionlessPoint(0.0, 0.0, 1.0, model),
+        DimensionlessPoint(0.0, 1.0, 2.0, model),
+        DimensionlessPoint(1.0, 0.0, 0.5, model),
+    ]
+    n = max(samples - len(points), 0)
+    omegas = rng.uniform(0.0, 20.0, size=(n, 2))
+    phases = rng.uniform(0.0, math.pi, size=n)
+    points += [DimensionlessPoint(float(w[0]), float(w[1]), float(p), model) for w, p in zip(omegas, phases)]
+    return points[:samples]
+
+
+def _keep_worst(check, deviation, pt):
+    """The per-point rule: keep the largest deviation seen and its point; the
+    first NaN is kept as the worst, so the check fails."""
+    if deviation > check.worst or (math.isnan(deviation) and not math.isnan(check.worst)):
+        check.worst, check.worst_point = deviation, pt
+
+
+def _reference_verification(samples, seed, models=(XY, HEIS)):
     """The battery run one point at a time through the scalar paths, as it
     ran before the oracle and the closed side were stacked."""
     report = VerificationReport(samples_per_model=samples, seed=seed)
     for model in models:
         tag = model.value
-        agree = CheckResult(f"{tag}: closed vs numeric amplitudes", tolerance)
+        agree = CheckResult(f"{tag}: closed vs numeric amplitudes", 1e-10)
         uni_closed = CheckResult(f"{tag}: closed-form flux unitarity", 1e-12)
-        uni_numeric = CheckResult(f"{tag}: numeric flux unitarity", tolerance)
+        uni_numeric = CheckResult(f"{tag}: numeric flux unitarity", 1e-10)
         extras = []
         if model is XY:
             closure = CheckResult(f"{tag}: no-flip flux + 2P closure", 1e-12)
@@ -78,13 +106,13 @@ def _reference_verification(samples, seed, models=(XY, HEIS), tolerance=1e-10):
             dressing = CheckResult(f"{tag}: dressing vs direct series", 1e-12)
             extras = [dressing]
 
-        for pt in sample_points(model, samples, seed):
+        for pt in _reference_samples(model, samples, seed):
             closed = amplitudes(pt)
             numeric = solve_amplitudes_numeric(pt)
             deviation = max(abs(x - y) for x, y in zip(closed.as_tuple(), numeric.as_tuple()))
-            agree.update(deviation, pt)
-            uni_closed.update(abs(closed.flux() - 1.0), pt)
-            uni_numeric.update(abs(numeric.flux() - 1.0), pt)
+            _keep_worst(agree, deviation, pt)
+            _keep_worst(uni_closed, abs(closed.flux() - 1.0), pt)
+            _keep_worst(uni_numeric, abs(numeric.flux() - 1.0), pt)
             if model is XY:
                 obs = observables_at(pt)
                 total = (
@@ -93,48 +121,42 @@ def _reference_verification(samples, seed, models=(XY, HEIS), tolerance=1e-10):
                     + obs.probability_t
                     + obs.probability_r
                 )
-                closure.update(abs(total - 1.0), pt)
+                _keep_worst(closure, abs(total - 1.0), pt)
                 if obs.concurrence_t is not None:
-                    sides.update(abs(obs.concurrence_t - obs.concurrence_r), pt)
-                sides.update(abs(obs.probability_t - obs.probability_r), pt)
+                    _keep_worst(sides, abs(obs.concurrence_t - obs.concurrence_r), pt)
+                _keep_worst(sides, abs(obs.probability_t - obs.probability_r), pt)
             else:
-                dressing.update(_reference_dressing_deviation(pt), pt)
+                _keep_worst(dressing, _reference_dressing_deviation(pt), pt)
 
         report.checks += [agree, uni_closed, uni_numeric, *extras]
     return report
 
 
+STACK = validate(DimensionlessPoint(np.arange(1.0, 6.0), np.ones(5), np.full(5, 0.5), HEIS))
+
+
+def _sample(i):
+    """Sample ``i`` of STACK on its own."""
+    return DimensionlessPoint(i + 1.0, 1.0, 0.5, HEIS)
+
+
+def _same(x, y):
+    return x == y or math.isnan(x) and math.isnan(y)
+
+
 class TestCheckResult:
+    """A check is one reduction of its deviation array over the stack."""
+
     def test_nan_deviation_is_the_worst_and_fails_the_check(self):
-        check = CheckResult("x", 1e-12)
-        first, bad, later = (DimensionlessPoint(w, 1.0, 0.5, HEIS) for w in (1.0, 2.0, 3.0))
-        check.update(1e-15, first)
-        check.update(math.nan, bad)
-        check.update(1e-13, later)  # a later finite deviation does not hide it
-        assert math.isnan(check.worst)
-        assert check.worst_point == bad
+        check = CheckResult.from_deviations("x", 1e-12, np.array([1e-15, math.nan, 1e-13, math.nan, 0.0]), STACK)
+        assert math.isnan(check.worst)  # a later finite deviation does not hide it
+        assert check.worst_point == _sample(1)
         assert not check.ok
 
     def test_largest_deviation_wins(self):
-        check = CheckResult("x", 1e-12)
-        small, large = (DimensionlessPoint(w, 1.0, 0.5, HEIS) for w in (1.0, 2.0))
-        check.update(1e-15, small)
-        check.update(1e-14, large)
-        check.update(1e-16, small)
-        assert (check.worst, check.worst_point, check.ok) == (1e-14, large, True)
-
-
-class TestUpdateAll:
-    """``update_all`` gives what ``update`` gives point by point."""
-
-    POINTS = [DimensionlessPoint(w, 1.0, 0.5, HEIS) for w in (1.0, 2.0, 3.0, 4.0, 5.0)]
-
-    def _both(self, deviations):
-        one_step, in_turn = CheckResult("x", 1e-12), CheckResult("x", 1e-12)
-        one_step.update_all(np.array(deviations), self.POINTS)
-        for d, pt in zip(deviations, self.POINTS):
-            in_turn.update(d, pt)
-        return one_step, in_turn
+        check = CheckResult.from_deviations("x", 1e-12, np.array([1e-15, 1e-14, 1e-16, 0.0, 1e-15]), STACK)
+        assert (check.worst, check.worst_point, check.ok) == (1e-14, _sample(1), True)
+        assert type(check.worst) is float
 
     @pytest.mark.parametrize(
         "deviations, index",
@@ -145,22 +167,25 @@ class TestUpdateAll:
         ],
     )
     def test_the_first_nan_or_else_the_first_largest_wins(self, deviations, index):
-        one_step, in_turn = self._both(deviations)
-        assert one_step.worst_point is self.POINTS[index]
-        assert one_step.worst_point is in_turn.worst_point
-        assert type(one_step.worst) is float
-        assert one_step.worst == in_turn.worst or math.isnan(one_step.worst) and math.isnan(in_turn.worst)
+        check = CheckResult.from_deviations("x", 1e-12, np.array(deviations), STACK)
+        assert check.worst_point == _sample(index)
+        assert type(check.worst) is float
+        assert _same(check.worst, deviations[index])
 
     def test_all_zero_leaves_the_point_unset(self):
-        one_step, in_turn = self._both([0.0] * 5)
-        assert (one_step.worst, one_step.worst_point, one_step.ok) == (0.0, None, True)
-        assert (in_turn.worst, in_turn.worst_point) == (0.0, None)
+        check = CheckResult.from_deviations("x", 1e-12, np.zeros(5), STACK)
+        assert (check.worst, check.worst_point, check.ok) == (0.0, None, True)
+        assert type(check.worst) is float
 
-    def test_a_later_array_wins_only_with_a_larger_value(self):
-        check = CheckResult("x", 1e-12)
-        check.update_all(np.array([1e-14, 2e-14]), self.POINTS[:2])
-        check.update_all(np.array([2e-14, 1e-15]), self.POINTS[2:4])
-        assert (check.worst, check.worst_point) == (2e-14, self.POINTS[1])
+    @given(st.lists(st.sampled_from([0.0, 1e-15, 3e-14, 5e-13, math.nan]), min_size=5, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_per_point_rule(self, deviations):
+        check = CheckResult.from_deviations("x", 1e-12, np.array(deviations), STACK)
+        reference = CheckResult("x", 1e-12)
+        for i, d in enumerate(deviations):
+            _keep_worst(reference, d, _sample(i))
+        assert _same(check.worst, reference.worst)
+        assert check.worst_point == reference.worst_point
 
 
 @pytest.mark.parametrize("samples", [0, -3])
@@ -169,19 +194,49 @@ def test_battery_rejects_fewer_than_one_sample(samples):
         run_verification(samples, 1)
 
 
+def test_battery_rejects_a_negative_seed():
+    with pytest.raises(DomainError, match=r"seed must be >= 0, got -1"):
+        run_verification(1, -1)
+
+
+@pytest.mark.parametrize("model", [XY, HEIS])
+@pytest.mark.parametrize("samples", [1, 2, 3, 10])
+def test_sample_is_the_seeded_points_in_order(model, samples):
+    stack = sample_points(model, samples, 42)
+    assert stack.phase.shape == (samples,)
+    assert [point_at(stack, i) for i in range(samples)] == _reference_samples(model, samples, 42)
+
+
+def _per_sample_checks(samples, seed, models=(XY, HEIS)):
+    """The battery's deviations of each sample alone, as a stack of one,
+    kept by the per-point rule: the stacked battery, one point at a time."""
+    checks = []
+    for model in models:
+        model_checks = []
+        for pt in _reference_samples(model, samples, seed):
+            one = validate(DimensionlessPoint(*(np.array([x]) for x in (pt.omega_a, pt.omega_b, pt.phase)), model))
+            rows = _deviations(one)
+            model_checks = model_checks or [CheckResult(f"{model.value}: {name}", tol) for name, tol, _ in rows]
+            for check, (_, _, deviation) in zip(model_checks, rows):
+                _keep_worst(check, float(deviation[0]), pt)
+        checks += model_checks
+    return checks
+
+
 @pytest.mark.parametrize("seed", [1, 42])
 def test_battery_matches_the_per_point_loop(seed):
     stacked = run_verification(200, seed)
     reference = _reference_verification(200, seed)
-    sampled = {model: sample_points(model, 200, seed) for model in (XY, HEIS)}
+    per_sample = _per_sample_checks(200, seed)
     assert [c.name for c in stacked.checks] == [c.name for c in reference.checks]
-    for got, want in zip(stacked.checks, reference.checks):
+    for got, want, alone in zip(stacked.checks, reference.checks, per_sample):
         assert got.tolerance == want.tolerance
         assert type(got.worst) is float
         assert got.ok == want.ok, got.name
-        # the closed side now rounds like the grid path, so only the last digits may move
+        # the closed side rounds like the grid path, not the scalar one, so only the last digits may move
         assert abs(got.worst - want.worst) <= 1e-13, got.name
-        assert got.worst_point in sampled[XY if got.name.startswith("xy") else HEIS], got.name
+        # each sample alone rounds as it does in the stack: the same worst, at the same sample
+        assert (got.worst, got.worst_point) == (alone.worst, alone.worst_point), got.name
     assert stacked.ok and reference.ok
 
 
@@ -212,7 +267,7 @@ NEAR_RESONANT = [_resonant_point(w) for w in (15.0, 20.0, 30.0)] + [
 
 @pytest.mark.parametrize(
     "points",
-    [sample_points(HEIS, 40, 42), NEAR_RESONANT],
+    [_reference_samples(HEIS, 40, 42), NEAR_RESONANT],
     ids=["seeded", "near-resonant"],
 )
 def test_series_matches_a_high_precision_geometric_sum(points):
@@ -239,7 +294,7 @@ def _stack(points):
 
 
 def test_stacked_dressing_deviation_matches_per_point_calls():
-    points = sample_points(HEIS, 200, 42) + NEAR_RESONANT
+    points = _reference_samples(HEIS, 200, 42) + NEAR_RESONANT
     stacked = dressing_series_deviation(_stack(points))
     single = [dressing_series_deviation(pt) for pt in points]
     assert all(type(d) is float for d in single)
