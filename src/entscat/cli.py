@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 runtime or verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
@@ -116,18 +117,16 @@ def _cmd_point(parser, args) -> int:
     pt = validate(resolve_point(_collect_params(args), _MODELS[args.model]))
     amps = amplitudes(pt)
     obs = observables_at(pt)
+    s = math.sin(pt.phase)
     lines = [
         f"model: {args.model}",
         f"omega_a: {_fmt(pt.omega_a)}",
         f"omega_b: {_fmt(pt.omega_b)}",
         f"phase: {_fmt(pt.phase)}" + (f" (folded from {_fmt(pt.phase_original)})" if pt.phase_original is not None else ""),
-        f"sin2_kd: {_fmt(pt.sin2_kd)}",
+        f"sin2_kd: {_fmt(s * s)}",
         "amplitudes (re, im):",
     ]
-    for name, z in zip(
-        ("t_noflip", "r_noflip", "t_flipb", "r_flipb", "t_flipa", "r_flipa"),
-        amps.as_tuple(),
-    ):
+    for name, z in zip(amps._fields, amps):
         lines.append(f"  {name}: {z.real!r} {z.imag!r}")
     lines.append(f"flux_sum: {_fmt(amps.flux())}")
     for side, label in (("t", "transmitted"), ("r", "reflected")):

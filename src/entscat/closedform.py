@@ -213,12 +213,12 @@ def truncated_amplitudes(pt: DimensionlessPoint, n: int) -> AmplitudeSet:
     return AmplitudeSet(*_at_point(validate(pt), n))
 
 
-def grid_amplitudes(pt: DimensionlessPoint, bounces: int | None = None):
+def grid_amplitudes(pt: DimensionlessPoint, bounces: int | None = None) -> AmplitudeSet:
     """Array form of :func:`amplitudes` (``bounces`` None) or of
     :func:`truncated_amplitudes` (``bounces`` = n, exchange model only).
 
     ``pt`` is a validated point whose fields are numpy arrays that broadcast
-    together, its phase folded.  Returns the six amplitude arrays from the
+    together, its phase folded.  Returns the amplitudes as arrays, from the
     same closed forms as the scalar path; numpy's complex arithmetic may
     round the last digits differently.  Raises NumericError at the first
     cell, in row-major order, where an amplitude is not finite.
@@ -229,4 +229,4 @@ def grid_amplitudes(pt: DimensionlessPoint, bounces: int | None = None):
         bad = ~np.isfinite(sum(amps))
     if bad.any():
         raise _not_finite(point_at(pt, int(np.argmax(bad))))
-    return amps
+    return AmplitudeSet(*amps)

@@ -25,6 +25,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,11 +77,6 @@ class DimensionlessPoint:
     model: ModelKind
     phase_original: float | None = None
 
-    @property
-    def sin2_kd(self) -> float:
-        s = math.sin(self.phase)
-        return s * s
-
 
 @dataclass(frozen=True)
 class PhysicalPoint:
@@ -111,11 +107,13 @@ class SiteCoefficients:
     r_same: complex
 
 
-@dataclass(frozen=True)
-class AmplitudeSet:
+class AmplitudeSet(NamedTuple):
     """Two-site transmission/reflection amplitudes for the three open
     channels, with unit incident normalization.  All channels share the
-    incident momentum, so the fluxes |.|^2 sum to exactly 1."""
+    incident momentum, so the fluxes |.|^2 sum to exactly 1.
+
+    The fields are complex numbers at one point, or complex numpy arrays
+    that broadcast together for a stack or grid of points."""
 
     t_noflip: complex
     r_noflip: complex
@@ -124,18 +122,8 @@ class AmplitudeSet:
     t_flipa: complex
     r_flipa: complex
 
-    def as_tuple(self) -> tuple[complex, ...]:
-        return (
-            self.t_noflip,
-            self.r_noflip,
-            self.t_flipb,
-            self.r_flipb,
-            self.t_flipa,
-            self.r_flipa,
-        )
-
-    def flux(self) -> float:
-        return sum(abs(z) ** 2 for z in self.as_tuple())
+    def flux(self):
+        return sum(abs(z) ** 2 for z in self)
 
 
 @dataclass(frozen=True)

@@ -103,12 +103,12 @@ def build_matching_system(pt: DimensionlessPoint) -> tuple[np.ndarray, np.ndarra
     return matrix, rhs
 
 
-def solve_system(matrix: np.ndarray, rhs: np.ndarray, point: DimensionlessPoint | None = None) -> np.ndarray:
+def solve_system(matrix: np.ndarray, rhs: np.ndarray, point: DimensionlessPoint) -> np.ndarray:
     """Solve M x = b, guarding against ill-conditioning and bad residuals.
 
     A stack is solved at once, ``point`` being the stacked point it was built
     from; it raises the error that its first failing system, in row-major
-    order, raises on its own."""
+    order, raises on its own, with that system's point attached."""
     shape = rhs.shape
     matrix = matrix.reshape(-1, 12, 12)
     rhs = rhs.reshape(-1, 12, 1)
@@ -120,21 +120,22 @@ def solve_system(matrix: np.ndarray, rhs: np.ndarray, point: DimensionlessPoint 
     bad = residual > 1e-10
     if bad.any():
         i = int(np.argmax(bad))
-        sample = None if point is None else point_at(point, i)
+        sample = point_at(point, i)
         raise NumericError(f"matching solve residual {residual[i]:.3e} too large at {sample!r}", sample)
     if n < len(well):
-        sample = None if point is None else point_at(point, n)
+        sample = point_at(point, n)
         raise NumericError(f"matching matrix ill-conditioned (cond ~ {cond[n]:.3e}) at {sample!r}", sample)
     return solution.reshape(shape)
 
 
-def outgoing_amplitudes(solution: np.ndarray) -> np.ndarray:
-    """The six outgoing amplitudes, in AmplitudeSet order, on the last axis
-    of a :func:`solve_system` solution or stack of solutions."""
-    return solution[..., _OUTGOING]
-
-
 def solve_amplitudes_numeric(pt: DimensionlessPoint) -> AmplitudeSet:
-    """Solve the matching system and extract the outgoing amplitudes."""
+    """Solve the matching system and extract the outgoing amplitudes.
+
+    On a point whose fields are equal-shape numpy arrays, one stacked solve
+    whose fields are arrays of that shape; at a single point the fields are
+    Python complex numbers."""
     pt = validate(pt)
-    return AmplitudeSet(*outgoing_amplitudes(solve_system(*build_matching_system(pt), pt)).tolist())
+    outgoing = solve_system(*build_matching_system(pt), pt)[..., _OUTGOING]
+    if outgoing.ndim == 1:
+        return AmplitudeSet(*outgoing.tolist())
+    return AmplitudeSet(*np.moveaxis(outgoing, -1, 0))

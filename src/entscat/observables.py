@@ -34,7 +34,9 @@ def concurrence(small, large):
 # the benchmark traces them by name.
 def post_selected_state(amps: AmplitudeSet, side: str) -> tuple[complex, complex]:
     """The weights (w_updown, w_downup) of the state left by detecting the
-    flipped mediator on ``side``, "t" (transmitted) or "r" (reflected)."""
+    flipped mediator on ``side``, "t" (transmitted) or "r" (reflected): the
+    one place that maps a side to its flip amplitudes.  Arrays of weights
+    from an AmplitudeSet of arrays."""
     if side == "t":
         return amps.t_flipb, amps.t_flipa
     if side == "r":
@@ -68,8 +70,8 @@ def probability(x, y):
 def observables_at(pt: DimensionlessPoint) -> ObservableSet:
     """Full per-side observables at a parameter point."""
     amps = amplitudes(pt)
-    x_t, y_t = abs(amps.t_flipb), abs(amps.t_flipa)
-    x_r, y_r = abs(amps.r_flipb), abs(amps.r_flipa)
+    x_t, y_t = map(abs, post_selected_state(amps, "t"))
+    x_r, y_r = map(abs, post_selected_state(amps, "r"))
     c_t, a_t = concurrence_and_ratio(x_t, y_t)
     c_r, a_r = concurrence_and_ratio(x_r, y_r)
     return ObservableSet(
@@ -115,12 +117,14 @@ def model1_probability(omega_a, omega_b, sin2_kd):
 def model1_ratio(omega_a, omega_b, sin2_kd):
     """Scalar weight ratio for the exchange model:
 
-        a = (omega_a/omega_b) sqrt(1 + 4 omega_b^2 (1 + omega_b^2) s).
+        a = (omega_a/omega_b) sqrt(1 + 4 omega_b^2 (1 + omega_b^2) s),
 
-    Returns inf when omega_b = 0 with omega_a > 0 (only the A flip
-    survives) and nan for the doubly degenerate omega_a = omega_b = 0.
+    with the root taken as hypot(1, 2 omega_b sqrt((1 + omega_b^2) s)) so
+    that it stays finite up to omega_b of about 1e154, past every opacity
+    whose probability is finite.  Returns inf when omega_b = 0 with
+    omega_a > 0 (only the A flip survives) and nan for the doubly
+    degenerate omega_a = omega_b = 0.
     """
     if omega_b == 0:
         return math.inf if omega_a > 0 else math.nan
-    b = omega_b * omega_b
-    return omega_a / omega_b * math.sqrt(1 + 4 * b * (1 + b) * sin2_kd)
+    return omega_a / omega_b * math.hypot(1, 2 * omega_b * math.sqrt((1 + omega_b * omega_b) * sin2_kd))

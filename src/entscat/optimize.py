@@ -78,12 +78,10 @@ def unit_concurrence_phase(omega_a: float, omega_b: float) -> UnitPhase:
     if omega_a == omega_b:
         return UnitPhase(0.0, None)
     b2 = omega_b * omega_b
-    # grouped so the squares of tiny opacities never underflow
-    s = (
-        ((omega_b - omega_a) / omega_a)
-        * ((omega_b + omega_a) / omega_b)
-        / (4.0 * omega_a * omega_b * (1.0 + b2))
-    )
+    # grouped so the squares of tiny opacities never underflow; the positive
+    # numerator over a denominator that still underflows to 0 is +inf
+    den = 4.0 * omega_a * omega_b * (1.0 + b2)
+    s = ((omega_b - omega_a) / omega_a) * ((omega_b + omega_a) / omega_b) / den if den else math.inf
     # feasibility judged on the solved phase itself; the relative slack lets
     # points on the float-rounded boundary curve through, clamped to 1
     if not s <= 1.0 + 1e-12:
@@ -94,27 +92,22 @@ def unit_concurrence_phase(omega_a: float, omega_b: float) -> UnitPhase:
 def optimal_concurrence(omega_a: float, omega_b: float) -> OptimalityReport:
     """Best concurrence over all phases at fixed couplings.
 
-    Inside the unit-concurrence region the report carries C = 1 at the
-    solved phase; in the left region the resonant phase is optimal, in the
-    right region the anti-resonant one.  The degenerate corners (either
-    opacity zero) report C = 0: one or both flip branches are empty there.
-    Raises NumericError where the probability is not finite in float64
-    (opacities beyond about 1e150).
+    The region is the verdict of :func:`unit_concurrence_phase` alone: where
+    it solves a phase the report carries C = 1 there; elsewhere the region
+    is right when omega_a > omega_b, with the anti-resonant phase optimal,
+    and left otherwise, with the resonant one.  So at the region's edges,
+    where the solved phase rounds just past 1, the report and that verdict
+    never disagree.  The degenerate corners (either opacity zero) report
+    C = 0: one or both flip branches are empty there.  Raises NumericError
+    where the probability is not finite in float64 (opacities beyond about
+    1e77).
     """
-    check_opacity("omega_a", omega_a)
-    check_opacity("omega_b", omega_b)
-    lower = omega_b / (1.0 + 2.0 * omega_b * omega_b) if omega_b > 0.0 else 0.0
-    if omega_a > 0.0 and lower <= omega_a <= omega_b:
-        unit = unit_concurrence_phase(omega_a, omega_b)
-        # the solve can only fail here at subnormal scales where the whole
-        # region is thinner than one ulp; the diagonal phase is exact then
-        s = unit.sin2_kd if unit.sin2_kd is not None else 0.0
-        c, regime = 1.0, Regime.UNIT_CONCURRENCE_REGION
+    unit = unit_concurrence_phase(omega_a, omega_b)
+    if unit.sin2_kd is not None:
+        s, c, regime = unit.sin2_kd, 1.0, Regime.UNIT_CONCURRENCE_REGION
     else:
-        s, regime = (1.0, Regime.LEFT_REGION) if omega_a <= lower else (0.0, Regime.RIGHT_REGION)
+        s, regime = (0.0, Regime.RIGHT_REGION) if omega_a > omega_b else (1.0, Regime.LEFT_REGION)
         ratio = 0.0 if omega_a == 0.0 else model1_ratio(omega_a, omega_b, s)
-        if math.isnan(ratio):  # omega_a/omega_b underflowed to 0 against an overflowed root
-            ratio = 0.0
         c = concurrence(ratio, 1.0) if ratio <= 1.0 else concurrence(1.0, ratio)
     try:
         p = model1_probability(omega_a, omega_b, s)

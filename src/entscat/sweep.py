@@ -27,7 +27,7 @@ from .core import (
     fold_phase,
     to_dimensionless,
 )
-from .observables import side_arrays
+from .observables import post_selected_state, side_arrays
 
 PHYSICAL_NAMES = ("k", "gA", "gB", "d")
 DIMENSIONLESS_NAMES = ("omegaA", "omegaB", "phase", "sin2kd")
@@ -190,8 +190,8 @@ def run_scan(
         if col not in KNOWN_COLUMNS:
             raise DomainError(f"unknown column {col!r}; known: {KNOWN_COLUMNS}")
     amps = grid_amplitudes(_resolve_grid(axes, fixed, model))
-    c_t, p_t, a_t = side_arrays(amps[2], amps[4])
-    c_r, p_r, a_r = side_arrays(amps[3], amps[5])
+    c_t, p_t, a_t = side_arrays(*post_selected_state(amps, "t"))
+    c_r, p_r, a_r = side_arrays(*post_selected_state(amps, "r"))
     by_name = {"C_t": c_t, "P_t": p_t, "C_r": c_r, "P_r": p_r, "a_t": a_t, "a_r": a_r}
     del amps  # free the amplitude arrays before the rows are built
     rows = zip(*_columns(tuple(ax.count for ax in axes), [by_name[c] for c in columns]))
@@ -215,7 +215,7 @@ def run_truncation(
     arrays = []
     for n in (*bounce_orders, None):
         amps = grid_amplitudes(cells, n)
-        arrays += side_arrays(amps[2], amps[4])[:2]
+        arrays += side_arrays(*post_selected_state(amps, "t"))[:2]
     rows = zip(*_columns((axis.count,), arrays))
     orders = ",".join(str(n) for n in bounce_orders)
     return make_grid("truncate", model, (axis,), fixed, columns, rows, bounce_orders=orders)

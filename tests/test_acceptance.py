@@ -62,7 +62,7 @@ def test_criterion_01_oracle_equivalence():
             numeric = solve_amplitudes_numeric(pt)
             worst = max(
                 worst,
-                max(abs(x - y) for x, y in zip(closed.as_tuple(), numeric.as_tuple())),
+                max(abs(x - y) for x, y in zip(closed, numeric)),
             )
     elapsed = time.perf_counter() - start
     report(
@@ -248,7 +248,7 @@ def test_criterion_08_truncation_convergence():
         for n in range(0, 21):
             tr = truncated_amplitudes(pt, n)
             for dev, pref, off in zip(
-                (abs(x - y) for x, y in zip(tr.as_tuple(), full.as_tuple())),
+                (abs(x - y) for x, y in zip(tr, full)),
                 prefs,
                 offsets,
             ):

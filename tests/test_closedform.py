@@ -72,7 +72,7 @@ class TestAmplitudes:
         amp = amplitudes(DimensionlessPoint(0.0, 0.0, 0.7, XY))
         assert abs(amp.t_noflip) == pytest.approx(1.0, abs=1e-15)
         assert amp.t_noflip == pytest.approx(cmath.exp(0.7j), abs=1e-15)
-        for z in amp.as_tuple()[1:]:
+        for z in amp[1:]:
             assert z == 0.0
 
     def test_single_flipping_site(self):
@@ -87,7 +87,7 @@ class TestAmplitudes:
         # hand-evaluated from the closed forms at (1, 1, pi/2)
         amp = amplitudes(DimensionlessPoint(1.0, 1.0, math.pi / 2, XY))
         expected = (0.2j, -0.4 + 0.0j, 0.2 + 0.0j, 0.2j, 0.6 + 0.0j, -0.6j)
-        for z, want in zip(amp.as_tuple(), expected):
+        for z, want in zip(amp, expected):
             assert z == pytest.approx(want, abs=1e-12)
 
     def test_equal_couplings_at_resonant_phase_balance_the_flips(self):
@@ -165,7 +165,7 @@ class TestTruncatedAmplitudes:
         pt = DimensionlessPoint(omega_a, omega_b, phase, XY)
         tr = truncated_amplitudes(pt, 200)
         full = amplitudes(pt)
-        for x, y in zip(tr.as_tuple()[:6], full.as_tuple()):
+        for x, y in zip(tr[:6], full):
             assert abs(x - y) < 1e-12
 
     @given(omega_a=st.floats(0.0, 10.0), omega_b=st.floats(0.0, 10.0), phase=phases)
@@ -190,7 +190,7 @@ class TestTruncatedAmplitudes:
         for n in range(0, 21):
             tr = truncated_amplitudes(pt, n)
             for dev, pref, off in zip(
-                (abs(x - y) for x, y in zip(tr.as_tuple()[:6], full.as_tuple())),
+                (abs(x - y) for x, y in zip(tr[:6], full)),
                 prefs,
                 offsets,
             ):

@@ -145,10 +145,10 @@ def test_phase_periodicity(omega_a, omega_b, phase, nu, model):
     shifted = DimensionlessPoint(omega_a, omega_b, phase + nu * math.pi, model)
     amp_a = amplitudes(base)
     amp_b = amplitudes(shifted)
-    for x, y in zip(amp_a.as_tuple(), amp_b.as_tuple()):
+    for x, y in zip(amp_a, amp_b):
         assert abs(abs(x) - abs(y)) < 1e-12
     if abs(validate(base).phase - validate(shifted).phase) < 1.0:
-        for x, y in zip(amp_a.as_tuple(), amp_b.as_tuple()):
+        for x, y in zip(amp_a, amp_b):
             assert abs(x - y) < 1e-12
     obs_a = observables_at(base)
     obs_b = observables_at(shifted)

@@ -7,6 +7,7 @@ point; and the streaming writers reproduce the plain ``json``/per-cell
 writers byte for byte.
 """
 
+import cmath
 import json
 import math
 import subprocess
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entscat import (
+    AmplitudeSet,
     Axis,
     DimensionlessPoint,
     DomainError,
@@ -34,6 +36,8 @@ from entscat import (
     write_json,
 )
 from entscat.cli import main
+from entscat.closedform import grid_amplitudes
+from entscat.core import point_at
 from entscat.sweep import SweepGrid, make_grid, resolve_point, _resolve_grid
 
 XY = ModelKind.SPIN_EXCHANGE
@@ -67,6 +71,19 @@ class TestFrozenScalarPath:
         pt = DimensionlessPoint(entry["omega_a"], entry["omega_b"], entry["phase"], ModelKind(entry["model"]))
         assert repr(amplitudes(pt)) == entry["amplitudes"]
         assert repr(observables_at(pt)) == entry["observables"]
+
+
+@pytest.mark.parametrize("bounces", [None, 2])
+def test_grid_amplitudes_is_an_amplitude_set_of_cell_arrays(bounces):
+    cells = _resolve_grid((Axis("omegaA", 0.1, 3.0, 7), Axis("omegaB", 0.2, 2.0, 5)), {"phase": 4.1}, XY)
+    amps = grid_amplitudes(cells, bounces)
+    assert isinstance(amps, AmplitudeSet)
+    assert [z.shape for z in amps] == [(7, 5)] * 6
+    for i in range(35):
+        pt = point_at(cells, i)
+        alone = amplitudes(pt) if bounces is None else truncated_amplitudes(pt, bounces)
+        for name, z, want in zip(AmplitudeSet._fields, amps, alone):
+            assert cmath.isclose(z.flat[i], want, rel_tol=GRID_REL, abs_tol=GRID_ABS), (name, i)
 
 
 class TestNumericError:

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,10 @@ from entscat import (
     model1_ratio,
     observables_at,
 )
+from entscat.closedform import grid_amplitudes
+from entscat.core import point_at
 from entscat.observables import post_selected_state, probability
+from entscat.verify import sample_points
 
 XY = ModelKind.SPIN_EXCHANGE
 HEIS = ModelKind.HEISENBERG_CONTACT
@@ -30,6 +34,18 @@ def test_post_selected_state_picks_the_right_amplitudes():
     assert post_selected_state(amp, "r") == (amp.r_flipb, amp.r_flipa)
     with pytest.raises(DomainError):
         post_selected_state(amp, "both")
+
+
+@pytest.mark.parametrize("model", [XY, HEIS])
+def test_post_selected_state_works_on_a_stacked_record(model):
+    stack = sample_points(model, 40, 3)
+    amps = grid_amplitudes(stack)
+    for side in ("t", "r"):
+        weights = post_selected_state(amps, side)
+        assert [w.shape for w in weights] == [(40,), (40,)]
+        for i in range(40):
+            alone = post_selected_state(amplitudes(point_at(stack, i)), side)
+            np.testing.assert_allclose([w[i] for w in weights], alone, rtol=1e-12, atol=1e-15)
 
 
 class TestConcurrenceAndRatio:

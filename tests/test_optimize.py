@@ -3,6 +3,7 @@ import re
 import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,30 @@ XY = ModelKind.SPIN_EXCHANGE
 
 def curve_lower(omega_b):
     return omega_b / (1.0 + 2.0 * omega_b**2)
+
+
+# where the region's two former rules disagreed: the solved phase lands within
+# the solve's 1e-12 slack of 1 at the first point and past it at the second
+REGION_EDGES = [(0.016861808109802385, 29.635939059006105), (1.1192630858491662e-05, 1.1192630861295976e-05)]
+P_FINITE_LIMIT = 1.1e77  # omega_b below it keeps the left region's probability finite
+
+
+def assert_region_is_the_phase_verdict(omega_a, omega_b):
+    report = optimal_concurrence(omega_a, omega_b)
+    unit = unit_concurrence_phase(omega_a, omega_b)
+    if unit.sin2_kd is None:
+        assert report.regime is (Regime.RIGHT_REGION if omega_a > omega_b else Regime.LEFT_REGION)
+    else:
+        assert report.regime is Regime.UNIT_CONCURRENCE_REGION
+        assert (report.phase_choice, report.concurrence) == (unit.sin2_kd, 1.0)
+
+
+def exact_left_concurrence(omega_a, omega_b):
+    """C at the resonant phase, from the exact ratio in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(omega_a), mpmath.mpf(omega_b)
+        m = a / b * mpmath.sqrt(1 + 4 * b**2 * (1 + b**2))
+        return float(2 * m / (1 + m**2))
 
 
 class TestProbabilityAtResonance:
@@ -77,6 +102,12 @@ class TestUnitConcurrencePhase:
         assert result.sin2_kd is None
         assert "flip amplitude" in result.reason
 
+    @pytest.mark.parametrize("omega_a, omega_b", [(1e-200, 2e-200), (1e-170, 1e-160)])
+    def test_infeasible_where_the_denominator_underflows(self, omega_a, omega_b):
+        # 4 omega_a omega_b (1 + omega_b^2) rounds to 0, so the solved phase is +inf
+        result = unit_concurrence_phase(omega_a, omega_b)
+        assert result == (None, "maximum ratio stays below 1 even at resonance")
+
     def test_infeasible_left_of_the_curve(self):
         omega_b = 1.5
         result = unit_concurrence_phase(0.5 * curve_lower(omega_b), omega_b)
@@ -118,9 +149,9 @@ class TestOptimalConcurrence:
         assert report.regime is Regime.LEFT_REGION
         assert report.concurrence == 0.0
 
-    def test_transparent_a_reports_zero_when_the_ratio_is_nan(self):
-        # omega_a/omega_b underflows to 0 and the ratio's root overflows: 0 * inf
-        assert math.isnan(model1_ratio(1e-250, 1.05e77, 1.0))
+    def test_transparent_a_reports_zero_when_the_ratio_underflows(self):
+        # omega_a/omega_b underflows to 0 against a finite root; the true C is about 4e-173
+        assert model1_ratio(1e-250, 1.05e77, 1.0) == 0.0
         report = optimal_concurrence(1e-250, 1.05e77)
         assert report.regime is Regime.LEFT_REGION
         assert report.concurrence == 0.0
@@ -128,6 +159,48 @@ class TestOptimalConcurrence:
     def test_rejects_bad_input(self):
         with pytest.raises(DomainError):
             optimal_concurrence(-1.0, 1.0)
+
+    def test_ratio_root_stays_finite_where_the_probability_is(self):
+        # 4 b (1 + b) with b = omega_b^2 overflows here, but the probability does not
+        assert model1_ratio(1e-80, 1e77, 1.0) == pytest.approx(2e-3, rel=1e-15)
+        report = optimal_concurrence(1e-80, 1e77)
+        assert report.regime is Regime.LEFT_REGION
+        assert report.concurrence == pytest.approx(exact_left_concurrence(1e-80, 1e77), rel=1e-15)
+        assert report.concurrence == pytest.approx(0.0039999840000640, rel=1e-12)
+
+    def test_left_region_concurrence_matches_50_digit_arithmetic(self):
+        # log-uniform over the whole float range, and again over the top ten
+        # decades, where the ratio's root once overflowed
+        rng = np.random.default_rng(20)
+        top = math.log10(P_FINITE_LIMIT)
+        for log_b in np.concatenate([rng.uniform(-290.0, top, 1000), rng.uniform(top - 10.0, top, 1000)]):
+            omega_b = 10.0**log_b
+            omega_a = 10.0 ** rng.uniform(-300.0, math.log10(curve_lower(omega_b) * (1.0 - 1e-9)))
+            report = optimal_concurrence(omega_a, omega_b)
+            assert report.regime is Regime.LEFT_REGION
+            assert abs(report.concurrence - exact_left_concurrence(omega_a, omega_b)) <= 1e-12, (omega_a, omega_b)
+
+    @pytest.mark.parametrize("omega_a, omega_b", REGION_EDGES)
+    def test_region_edges_follow_the_phase_solve(self, omega_a, omega_b):
+        assert_region_is_the_phase_verdict(omega_a, omega_b)
+
+    @given(
+        log_b=st.floats(-300.0, 38.0),
+        log_a=st.one_of(st.floats(-300.0, 38.0), st.none()),
+        nudge=st.integers(-3, 3),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_region_is_unit_exactly_where_the_phase_solves(self, log_b, log_a, nudge):
+        # log-uniform opacities, or omega_a a few ulps from the region's lower
+        # edge; the probability stays finite while omega_a omega_b < 1e76
+        omega_b = 10.0**log_b
+        if log_a is None:
+            omega_a = curve_lower(omega_b)
+            for _ in range(abs(nudge)):
+                omega_a = math.nextafter(omega_a, math.copysign(math.inf, nudge))
+        else:
+            omega_a = 10.0**log_a
+        assert_region_is_the_phase_verdict(omega_a, omega_b)
 
     @pytest.mark.parametrize("omega_a, omega_b", [(1e-175, 1e150), (1.0, 1e200), (1e200, 1.0)])
     def test_probability_overflow_raises_numeric_error(self, omega_a, omega_b):

@@ -309,6 +309,14 @@ def test_optimize_report_exits_1_where_the_probability_overflows(omega_a, omega_
     assert captured.err.startswith("error: probability is not finite")
 
 
+@pytest.mark.parametrize("omega_a, omega_b", [("1e-200", "2e-200"), ("1e-170", "1e-160")])
+def test_optimize_report_survives_an_underflowed_phase_solve(omega_a, omega_b, capsys):
+    assert main(["optimize", "report", "--omegaA", omega_a, "--omegaB", omega_b]) == 0
+    out = capsys.readouterr().out
+    assert "regime: left" in out
+    assert "unit concurrence: infeasible (maximum ratio stays below 1 even at resonance)" in out
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "entscat", "point", "--omegaA", "1", "--omegaB", "1", "--sin2kd", "1"],

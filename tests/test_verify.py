@@ -109,7 +109,7 @@ def _reference_verification(samples, seed, models=(XY, HEIS)):
         for pt in _reference_samples(model, samples, seed):
             closed = amplitudes(pt)
             numeric = solve_amplitudes_numeric(pt)
-            deviation = max(abs(x - y) for x, y in zip(closed.as_tuple(), numeric.as_tuple()))
+            deviation = max(abs(x - y) for x, y in zip(closed, numeric))
             _keep_worst(agree, deviation, pt)
             _keep_worst(uni_closed, abs(closed.flux() - 1.0), pt)
             _keep_worst(uni_numeric, abs(numeric.flux() - 1.0), pt)
