@@ -105,12 +105,15 @@ def model1_probability(omega_a, omega_b, sin2_kd):
 
         P = (a + b + 4ab(1+b)s) / ((1+a+b)^2 + 4ab(1+a)(1+b)s)
 
-    with a = omega_a^2, b = omega_b^2, s = sin^2(kd).
+    with a = omega_a^2, b = omega_b^2, s = sin^2(kd).  Each product takes s
+    in right after 4ab, which is finite wherever (1+a+b)^2 is, so s = 0
+    zeroes it before the (1+a)(1+b) factors can overflow (inf * 0 would be
+    NaN) and a tiny s keeps it finite.
     """
     a = omega_a * omega_a
     b = omega_b * omega_b
-    num = a + b + 4 * a * b * (1 + b) * sin2_kd
-    den = (1 + a + b) ** 2 + 4 * a * b * (1 + a) * (1 + b) * sin2_kd
+    num = a + b + 4 * a * b * sin2_kd * (1 + b)
+    den = (1 + a + b) ** 2 + 4 * a * b * sin2_kd * (1 + a) * (1 + b)
     return num / den
 
 

@@ -71,6 +71,9 @@ def unit_concurrence_phase(omega_a: float, omega_b: float) -> UnitPhase:
     """
     check_opacity("omega_a", omega_a)
     check_opacity("omega_b", omega_b)
+    # as Python floats (exact for numpy scalars), whose overflow to inf below
+    # is silent where numpy's would warn
+    omega_a, omega_b = float(omega_a), float(omega_b)
     if omega_a == 0.0:
         return UnitPhase(None, "flip amplitude of A vanishes (omega_a = 0)")
     if omega_a > omega_b:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,78 @@ def test_stack_raises_for_a_bad_residual_before_a_later_singular_system():
     alone = _raised(matrix[1], rhs[1], point_at(stack, 1))
     assert "residual" in alone[1]
     assert _raised(matrix, rhs, stack) == alone
+
+
+def _wide_sample(model, n, seed):
+    """Opacities log-uniform in [1e-300, 1e300]; half the phases uniform, a
+    quarter within 1e-15..1e-1 of 0 and a quarter within that of pi."""
+    rng = np.random.default_rng(seed)
+    omega_a, omega_b = 10.0 ** rng.uniform(-300.0, 300.0, (2, n))
+    near = 10.0 ** rng.uniform(-15.0, -1.0, n)
+    kind = rng.integers(0, 4, n)
+    phase = np.where(kind < 2, rng.uniform(0.0, math.pi, n), np.where(kind == 2, near, math.pi - near))
+    return DimensionlessPoint(omega_a, omega_b, phase, model)
+
+
+@pytest.mark.parametrize("model", [XY, HEIS])
+def test_guard_refuses_every_system_the_2_norm_condition_number_refuses(model):
+    stack = _wide_sample(model, 1500, 3)
+    matrix, rhs = build_matching_system(stack)
+    refused = np.flatnonzero(~(np.linalg.cond(matrix) <= 1e12))  # the SVD, as a reference only
+    assert 0 < len(refused) < 1500
+    for i in refused:
+        sample = point_at(stack, i)
+        assert _raised(matrix[i], rhs[i], sample)[2] == sample
+
+
+def _samples_from(stack, start):
+    """The stacked point of samples start, start + 1, ... of ``stack``."""
+    return DimensionlessPoint(stack.omega_a[start:], stack.omega_b[start:], stack.phase[start:], stack.model)
+
+
+@pytest.mark.parametrize("model", [XY, HEIS])
+def test_stacked_verdicts_equal_the_one_point_verdicts(model):
+    stack = sample_points(model, 300, 11)
+    matrix, rhs = build_matching_system(stack)
+    matrix[::7, :, 0] *= 1e-16  # a column scaled down puts cond far past 1e12
+    alone = []
+    for i in range(300):
+        try:
+            alone.append(solve_system(matrix[i], rhs[i], point_at(stack, i)))
+        except NumericError as error:
+            alone.append((type(error), str(error), error.point))
+    # each failing system is the first failure of the stack that starts after the previous one
+    start = 0
+    for i, verdict in enumerate(alone):
+        if isinstance(verdict, tuple):
+            assert "ill-conditioned" in verdict[1]
+            assert _raised(matrix[start:], rhs[start:], _samples_from(stack, start)) == verdict
+            start = i + 1
+    solution = solve_system(matrix[start:], rhs[start:], _samples_from(stack, start))
+    assert solution.tobytes() == np.stack(alone[start:]).tobytes()
+
+
+@pytest.mark.parametrize("model", [XY, HEIS])
+def test_overflowing_opacity_is_a_typed_refusal_without_nan_or_warning(model):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for point in (DimensionlessPoint(1e308, 1.0, 0.5, model), DimensionlessPoint(1.0, 1.7e308, 0.5, model)):
+            matrix, _ = build_matching_system(point)
+            assert not np.isnan(matrix).any()
+            with pytest.raises(NumericError, match=r"cond ~ inf") as info:
+                solve_amplitudes_numeric(point)
+            assert info.value.point == point
+        # in a stack the error is the one the overflowing sample raises alone
+        stack = sample_points(model, 4, 5)
+        omega_b = stack.omega_b.copy()
+        omega_b[2] = 1.7e308
+        stack = DimensionlessPoint(stack.omega_a, omega_b, stack.phase, model)
+        with pytest.raises(NumericError) as alone:
+            solve_amplitudes_numeric(point_at(stack, 2))
+        with pytest.raises(NumericError) as stacked:
+            solve_amplitudes_numeric(stack)
+        assert (str(stacked.value), stacked.value.point) == (str(alone.value), alone.value.point)
+        assert alone.value.point == point_at(stack, 2) and "cond ~ inf" in str(alone.value)
 
 
 def test_degenerate_zero_phase_still_solves():

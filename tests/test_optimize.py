@@ -58,6 +58,13 @@ def exact_left_concurrence(omega_a, omega_b):
         return float(2 * m / (1 + m**2))
 
 
+def exact_probability(omega_a, omega_b, sin2_kd):
+    """The exchange model's P in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        a, b, s = mpmath.mpf(omega_a) ** 2, mpmath.mpf(omega_b) ** 2, mpmath.mpf(sin2_kd)
+        return float((a + b + 4 * a * b * (1 + b) * s) / ((1 + a + b) ** 2 + 4 * a * b * (1 + a) * (1 + b) * s))
+
+
 class TestProbabilityAtResonance:
     def test_reduces_when_a_is_transparent(self):
         for omega_b in (0.3, 1.0, 4.0):
@@ -71,6 +78,12 @@ class TestProbabilityAtResonance:
 
     def test_rounded_literature_point(self):
         assert probability_at_resonance(0.33, 1.07) == pytest.approx(0.37082238933688394, abs=1e-12)
+
+    @pytest.mark.parametrize("sin2_kd", [0.0, 1e-300])
+    def test_vanishing_phase_factor_enters_before_the_product_overflows(self, sin2_kd):
+        # 4ab(1+a)(1+b) overflows here; s must zero or shrink it first
+        exact = exact_probability(1e76, 10.0, sin2_kd)
+        assert model1_probability(1e76, 10.0, sin2_kd) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_exact_arithmetic_passes_through(self):
         # a=1/4, b=9/4: num = 10/4 + 117/16 = 157/16, den = 49/4 + 585/64 = 1369/64

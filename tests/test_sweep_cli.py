@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 from entscat import Axis, DomainError, ModelKind, observables_at, run_scan, run_truncation, write_csv, write_json
@@ -307,6 +308,18 @@ def test_optimize_report_exits_1_where_the_probability_overflows(omega_a, omega_
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: probability is not finite")
+
+
+def test_optimize_report_at_the_anti_resonant_phase_where_the_bounce_product_overflows(capsys):
+    # right region, sin^2(kd) = 0: P = (a + b)/(1 + a + b)^2 with a = 1e152, b = 100
+    assert main(["optimize", "report", "--omegaA", "1e76", "--omegaB", "10"]) == 0
+    out = capsys.readouterr().out
+    assert "regime: right" in out and "sin2_kd: 0.0" in out
+    probability = float(out.split("probability: ")[1].split("\n")[0])
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(1e76) ** 2, mpmath.mpf(10) ** 2
+        exact = (a + b) / (1 + a + b) ** 2
+    assert abs(probability - exact) <= 1e-12 * exact
 
 
 @pytest.mark.parametrize("omega_a, omega_b", [("1e-200", "2e-200"), ("1e-170", "1e-160")])
