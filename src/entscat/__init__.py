@@ -29,11 +29,6 @@ from .core import (
     to_dimensionless,
     validate,
 )
-from .matching import (
-    build_matching_system,
-    solve_amplitudes_numeric,
-    solve_system,
-)
 from .observables import (
     concurrence_and_ratio,
     model1_probability,
@@ -51,8 +46,30 @@ from .optimize import (
     resonance_curve_probability,
     unit_concurrence_phase,
 )
-from .sweep import Axis, SweepGrid, run_scan, run_truncation, write_csv, write_json
-from .verify import VerificationReport, run_verification
+
+# The array modules import numpy; their names load them on first access
+# (PEP 562), so ``import entscat`` and the scalar functions run without numpy.
+# A resolved name is looked up afresh each time, never stored here.
+_LAZY = {
+    "matching": ("build_matching_system", "solve_amplitudes_numeric", "solve_system"),
+    "sweep": ("Axis", "SweepGrid", "run_scan", "run_truncation", "write_csv", "write_json"),
+    "verify": ("VerificationReport", "run_verification"),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    import importlib
+
+    if name in _LAZY:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _LAZY_NAMES:
+        return getattr(importlib.import_module(f"{__name__}.{_LAZY_NAMES[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_LAZY_NAMES})
 
 __all__ = [
     "AmplitudeSet",

@@ -9,6 +9,9 @@ Subcommands:
     verify     randomized closed-form vs numeric-solver cross-validation
 
 Exit codes: 0 success, 1 runtime or verification failure, 2 usage error.
+
+The array modules (sweep, verify) load numpy, so the commands that use them
+import them in their handlers: point, optimize and --version run without it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,16 @@ import sys
 
 from . import __version__
 from .closedform import amplitudes
-from .core import DomainError, ModelKind, NumericError, validate
+from .core import (
+    DEFAULT_COLUMNS,
+    DIMENSIONLESS_NAMES,
+    PHYSICAL_NAMES,
+    DomainError,
+    ModelKind,
+    NumericError,
+    resolve_point,
+    validate,
+)
 from .observables import observables_at
 from .optimize import (
     find_global_p_opt,
@@ -28,17 +40,6 @@ from .optimize import (
     resonance_curve_probability,
     unit_concurrence_phase,
 )
-from .sweep import (
-    DEFAULT_COLUMNS,
-    DIMENSIONLESS_NAMES,
-    PHYSICAL_NAMES,
-    Axis,
-    resolve_point,
-    run_scan,
-    run_truncation,
-    write_grid,
-)
-from .verify import run_verification
 
 _MODELS = {"xy": ModelKind.SPIN_EXCHANGE, "heis": ModelKind.HEISENBERG_CONTACT}
 
@@ -137,7 +138,9 @@ def _cmd_point(parser, args) -> int:
     return 0
 
 
-def _parse_axis(parser, text: str) -> Axis:
+def _parse_axis(parser, text: str):
+    from .sweep import Axis
+
     try:
         name, rest = text.split("=", 1)
         start, stop, count = rest.split(":")
@@ -147,6 +150,8 @@ def _parse_axis(parser, text: str) -> Axis:
 
 
 def _write(grid, args) -> int:
+    from .sweep import write_grid
+
     try:
         write_grid(grid, args.out, args.format)
     except OSError as exc:
@@ -156,6 +161,8 @@ def _write(grid, args) -> int:
 
 
 def _cmd_scan(parser, args) -> int:
+    from .sweep import run_scan
+
     axes = tuple(_parse_axis(parser, text) for text in args.axis)
     columns = tuple(c.strip() for c in args.columns.split(",") if c.strip())
     return _write(run_scan(axes, _collect_params(args), _MODELS[args.model], columns), args)
@@ -169,6 +176,8 @@ def _cmd_truncate(parser, args) -> int:
         orders = tuple(int(tok) for tok in args.n.split(","))
     except ValueError:
         parser.error(f"bad --n {args.n!r}: expected comma-separated integers")
+    from .sweep import run_truncation
+
     return _write(run_truncation(axis, _collect_params(args), orders), args)
 
 
@@ -208,6 +217,8 @@ def _cmd_optimize(parser, args) -> int:
 
 
 def _cmd_verify(parser, args) -> int:
+    from .verify import run_verification
+
     models = tuple(_MODELS.values()) if args.model is None else (_MODELS[args.model],)
     report = run_verification(args.samples, args.seed, models)
     for check in report.checks:

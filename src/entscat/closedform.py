@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import cmath
 
-import numpy as np
-
 from .core import (
     AmplitudeSet,
     DimensionlessPoint,
@@ -223,6 +221,8 @@ def grid_amplitudes(pt: DimensionlessPoint, bounces: int | None = None) -> Ampli
     round the last digits differently.  Raises NumericError at the first
     cell, in row-major order, where an amplitude is not finite.
     """
+    import numpy as np
+
     with np.errstate(all="ignore"):
         factors = np.exp(1j * pt.phase), np.exp(-1j * pt.phase), np.exp(2j * pt.phase)
         amps = _closed_forms(pt.omega_a, pt.omega_b, *factors, pt.model, bounces)

@@ -15,19 +15,24 @@ pi; :func:`validate` folds the phase into [0, pi) once so that everything
 downstream sees a canonical value.
 
 The physical-unit layer speaks the conventional units g in [hbar^2 pi/(m d)]
-and k in [pi/d], in which omega = g/k and phase = pi*k*d.
+and k in [pi/d], in which omega = g/k and phase = pi*k*d;
+:func:`resolve_point` maps the command line's parameter names to a point.
+
+numpy is not imported here at module level: every function takes Python
+numbers without loading it, and the array forms import it where they need
+it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
-
-import numpy as np
 
 
 class DomainError(ValueError):
@@ -63,7 +68,7 @@ class ModelKind(Enum):
     HEISENBERG_CONTACT = "heis"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DimensionlessPoint:
     """A complete parameter point: site opacities, gap phase, model.
 
@@ -126,7 +131,7 @@ class AmplitudeSet(NamedTuple):
         return sum(abs(z) ** 2 for z in self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObservableSet:
     """Concurrence, amplitude ratio, and detection probability per side.
 
@@ -145,6 +150,18 @@ class ObservableSet:
     ratio_a_r: float | None
 
 
+# Sweep columns: C, P and a of each side, as named in files and on the command line.
+DEFAULT_COLUMNS = ("C_t", "P_t", "C_r", "P_r")
+KNOWN_COLUMNS = ("C_t", "P_t", "C_r", "P_r", "a_t", "a_r")
+
+
+def _is_array(x) -> bool:
+    """Whether ``x`` is a numpy array.  numpy is imported only by the array
+    functions, so while it is not loaded no input can be one."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(x, np.ndarray)
+
+
 def opacity_ok(omega):
     """Whether ``omega`` is a finite, non-negative opacity, the domain of
     every opacity.  Elementwise on numpy arrays."""
@@ -157,6 +174,8 @@ _OPACITY = "must be finite and non-negative"
 def first_cell(bad, *arrays):
     """The values of ``arrays`` at the first cell, in row-major order, where
     ``bad`` is true, all broadcast together; as Python scalars."""
+    import numpy as np
+
     bad, *arrays = np.broadcast_arrays(bad, *arrays)
     index = np.unravel_index(np.argmax(bad), bad.shape)
     return [a[index].item() for a in arrays]
@@ -213,7 +232,7 @@ def validate(pt: DimensionlessPoint) -> DimensionlessPoint:
     """
     phase = pt.phase
     if (
-        not isinstance(phase, np.ndarray)
+        not _is_array(phase)
         and 0.0 <= phase < math.pi
         and opacity_ok(pt.omega_a)
         and opacity_ok(pt.omega_b)
@@ -228,6 +247,8 @@ def point_at(pt: DimensionlessPoint, index: int) -> DimensionlessPoint:
     """Sample ``index``, in row-major order, of a point whose fields are
     numpy arrays that broadcast together, as the validated point it would be
     on its own (from the raw phase where :func:`validate` kept one)."""
+    import numpy as np
+
     phase = pt.phase if pt.phase_original is None else pt.phase_original
     fields = np.broadcast_arrays(pt.omega_a, pt.omega_b, phase)
     return validate(DimensionlessPoint(*(x.flat[index].item() for x in fields), pt.model))
@@ -243,9 +264,59 @@ def to_dimensionless(p: PhysicalPoint, model: ModelKind) -> DimensionlessPoint:
     rules = [(n, x, (x > 0.0) & (x < math.inf), "must be positive and finite") for n, x in (("k", k), ("d", d))]
     for n, g in (("g_a", p.g_a), ("g_b", p.g_b)):
         rules.append((n, g, opacity_ok(g), "must be a finite non-negative coupling"))
-    if not isinstance(k, np.ndarray):
+    if not _is_array(k):
         check_rules(rules[0])  # a zero k must not reach the division
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    np = sys.modules.get("numpy")  # only numpy inputs warn where they overflow, and they load it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore") if np else contextlib.nullcontext():
         pt = DimensionlessPoint(p.g_a / k, p.g_b / k, math.pi * k * d, model)
+    check_point(pt, *rules)
+    return pt
+
+
+PHYSICAL_NAMES = ("k", "gA", "gB", "d")
+DIMENSIONLESS_NAMES = ("omegaA", "omegaB", "phase", "sin2kd")
+
+
+def _phase_of_sin2(s):
+    """asin(sqrt(s)) with :mod:`math`, value by value on numpy arrays; NaN where undefined."""
+    if _is_array(s):
+        import numpy as np
+
+        return np.reshape([_phase_of_sin2(v) for v in s.ravel().tolist()], s.shape)
+    try:
+        return math.asin(math.sqrt(s))
+    except ValueError:  # s outside [0, 1], which resolve_point rejects
+        return math.nan
+
+
+def resolve_point(params: dict[str, float], model: ModelKind) -> DimensionlessPoint:
+    """The point named by ``params``, in one unit system: physical k, gA, gB
+    and optionally d, or dimensionless omegaA, omegaB and one of phase or
+    sin2kd; the phase is not folded.  Raises DomainError for a mix, a missing
+    name or a bad value.  Elementwise on numpy arrays that broadcast together:
+    a bad value raises the error that the first bad cell, in row-major order,
+    raises on its own."""
+    names = set(params)
+    physical = names & set(PHYSICAL_NAMES)
+    dimensionless = names & set(DIMENSIONLESS_NAMES)
+    if physical and dimensionless:
+        raise DomainError(f"mixed unit systems: {sorted(physical)} with {sorted(dimensionless)}")
+    if physical:
+        missing = {"k", "gA", "gB"} - names
+        if missing:
+            raise DomainError(f"physical point needs k, gA, gB; missing {sorted(missing)}")
+        p = PhysicalPoint(params["gA"], params["gB"], params["k"], params.get("d", 1.0))
+        return to_dimensionless(p, model)
+    missing = {"omegaA", "omegaB"} - names
+    if missing:
+        raise DomainError(f"dimensionless point needs omegaA, omegaB; missing {sorted(missing)}")
+    if ("phase" in names) == ("sin2kd" in names):
+        raise DomainError("give exactly one of phase or sin2kd")
+    s = params.get("sin2kd")
+    if s is None:
+        phase, rules = params["phase"], ()
+    else:
+        phase, rules = _phase_of_sin2(s), (("sin2kd", s, (s >= 0.0) & (s <= 1.0), "must lie in [0, 1]"),)
+    pt = DimensionlessPoint(params["omegaA"], params["omegaB"], phase, model)
     check_point(pt, *rules)
     return pt

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .closedform import amplitudes
 from .core import AmplitudeSet, DimensionlessPoint, DomainError, ObservableSet
 
@@ -91,6 +89,8 @@ def side_arrays(w_updown, w_downup):
     Returns (C, P, a) arrays, with C and a NaN exactly where both weights
     are 0 (0/0); a is inf where only the A-flip weight survives.
     """
+    import numpy as np
+
     x = np.abs(w_updown)
     y = np.abs(w_downup)
     with np.errstate(divide="ignore", invalid="ignore"):

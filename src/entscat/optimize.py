@@ -31,7 +31,7 @@ class Regime(Enum):
     RIGHT_REGION = "right"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OptimalityReport:
     """Best reachable concurrence at fixed couplings, the phase choice
     sin^2(kd) that attains it, and the probability paid for it."""
@@ -103,9 +103,11 @@ def optimal_concurrence(omega_a: float, omega_b: float) -> OptimalityReport:
     never disagree.  The degenerate corners (either opacity zero) report
     C = 0: one or both flip branches are empty there.  Raises NumericError
     where the probability is not finite in float64 (opacities beyond about
-    1e77).
+    1e77).  The opacities are taken as Python floats, so every field of the
+    report is one and an overflow below is silent for numpy scalars too.
     """
-    unit = unit_concurrence_phase(omega_a, omega_b)
+    unit = unit_concurrence_phase(omega_a, omega_b)  # checks both opacities
+    omega_a, omega_b = float(omega_a), float(omega_b)
     if unit.sin2_kd is not None:
         s, c, regime = unit.sin2_kd, 1.0, Regime.UNIT_CONCURRENCE_REGION
     else:

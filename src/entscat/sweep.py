@@ -19,21 +19,17 @@ import numpy as np
 from . import __version__
 from .closedform import grid_amplitudes
 from .core import (
+    DEFAULT_COLUMNS,
+    DIMENSIONLESS_NAMES,
+    KNOWN_COLUMNS,
+    PHYSICAL_NAMES,
     DimensionlessPoint,
     DomainError,
     ModelKind,
-    PhysicalPoint,
-    check_point,
     fold_phase,
-    to_dimensionless,
+    resolve_point,
 )
 from .observables import post_selected_state, side_arrays
-
-PHYSICAL_NAMES = ("k", "gA", "gB", "d")
-DIMENSIONLESS_NAMES = ("omegaA", "omegaB", "phase", "sin2kd")
-
-DEFAULT_COLUMNS = ("C_t", "P_t", "C_r", "P_r")
-KNOWN_COLUMNS = ("C_t", "P_t", "C_r", "P_r", "a_t", "a_r")
 
 
 @dataclass(frozen=True)
@@ -71,49 +67,6 @@ class SweepGrid:
     columns: tuple[str, ...]
     rows: tuple[tuple[float | None, ...], ...]
     meta: dict[str, str]
-
-
-def _phase_of_sin2(s):
-    """asin(sqrt(s)) with :mod:`math`, value by value on numpy arrays; NaN where undefined."""
-    if isinstance(s, np.ndarray):
-        return np.reshape([_phase_of_sin2(v) for v in s.ravel().tolist()], s.shape)
-    try:
-        return math.asin(math.sqrt(s))
-    except ValueError:  # s outside [0, 1], which resolve_point rejects
-        return math.nan
-
-
-def resolve_point(params: dict[str, float], model: ModelKind) -> DimensionlessPoint:
-    """The point named by ``params``, in one unit system: physical k, gA, gB
-    and optionally d, or dimensionless omegaA, omegaB and one of phase or
-    sin2kd; the phase is not folded.  Raises DomainError for a mix, a missing
-    name or a bad value.  Elementwise on numpy arrays that broadcast together:
-    a bad value raises the error that the first bad cell, in row-major order,
-    raises on its own."""
-    names = set(params)
-    physical = names & set(PHYSICAL_NAMES)
-    dimensionless = names & set(DIMENSIONLESS_NAMES)
-    if physical and dimensionless:
-        raise DomainError(f"mixed unit systems: {sorted(physical)} with {sorted(dimensionless)}")
-    if physical:
-        missing = {"k", "gA", "gB"} - names
-        if missing:
-            raise DomainError(f"physical point needs k, gA, gB; missing {sorted(missing)}")
-        p = PhysicalPoint(params["gA"], params["gB"], params["k"], params.get("d", 1.0))
-        return to_dimensionless(p, model)
-    missing = {"omegaA", "omegaB"} - names
-    if missing:
-        raise DomainError(f"dimensionless point needs omegaA, omegaB; missing {sorted(missing)}")
-    if ("phase" in names) == ("sin2kd" in names):
-        raise DomainError("give exactly one of phase or sin2kd")
-    s = params.get("sin2kd")
-    if s is None:
-        phase, rules = params["phase"], ()
-    else:
-        phase, rules = _phase_of_sin2(s), (("sin2kd", s, (s >= 0.0) & (s <= 1.0), "must lie in [0, 1]"),)
-    pt = DimensionlessPoint(params["omegaA"], params["omegaB"], phase, model)
-    check_point(pt, *rules)
-    return pt
 
 
 def _check_request(axes: tuple[Axis, ...], fixed: dict[str, float], item: str, requested) -> None:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from entscat import (
     ValidationError,
     amplitudes,
     observables_at,
+    optimal_concurrence,
     to_dimensionless,
     validate,
 )
@@ -124,6 +126,27 @@ class TestPointAt:
     def test_a_scalar_point_is_its_own_sample(self):
         pt = validate(DimensionlessPoint(1.0, 2.0, -0.25, XY))
         assert point_at(pt, 0) == pt
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        DimensionlessPoint(1.0, 2.0, 0.5, HEIS),
+        observables_at(DimensionlessPoint(1.0, 2.0, 0.5, HEIS)),
+        optimal_concurrence(0.5, 2.0),
+    ],
+    ids=type,
+)
+def test_query_records_are_slotted_frozen_and_replaceable(record):
+    # one record per query, so no per-instance __dict__; dataclasses.replace
+    # is how callers derive one record from another
+    assert not hasattr(record, "__dict__")
+    name = dataclasses.fields(record)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, name, 0.25)
+    changed = dataclasses.replace(record, **{name: 0.25})
+    assert type(changed) is type(record) and getattr(changed, name) == 0.25
+    assert dataclasses.replace(changed, **{name: getattr(record, name)}) == record
 
 
 @given(

@@ -37,8 +37,8 @@ from entscat import (
 )
 from entscat.cli import main
 from entscat.closedform import grid_amplitudes
-from entscat.core import point_at
-from entscat.sweep import SweepGrid, make_grid, resolve_point, _resolve_grid
+from entscat.core import point_at, resolve_point
+from entscat.sweep import SweepGrid, make_grid, _resolve_grid
 
 XY = ModelKind.SPIN_EXCHANGE
 HEIS = ModelKind.HEISENBERG_CONTACT

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import re
 import time
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -220,6 +222,25 @@ class TestOptimalConcurrence:
         # model1_probability raises OverflowError at the first point and gives inf/inf at the others
         with pytest.raises(NumericError, match=re.escape(f"omega_a={omega_a!r}, omega_b={omega_b!r}")):
             optimal_concurrence(omega_a, omega_b)
+
+    @pytest.mark.parametrize("omega_a, omega_b", [(1e300, 1e-10), (1e100, 1e-100)])
+    def test_numpy_scalars_overflow_as_python_floats_do(self, omega_a, omega_b):
+        # silently, into the same typed error: no RuntimeWarning from numpy
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError) as as_float:
+                optimal_concurrence(omega_a, omega_b)
+            with pytest.raises(NumericError) as as_numpy:
+                optimal_concurrence(np.float64(omega_a), np.float64(omega_b))
+        assert str(as_numpy.value) == str(as_float.value)
+
+    @pytest.mark.parametrize("omega_a, omega_b", [(0.5, 2.0), (2.0, 1.0), (1e-3, 1.0), (0.0, 1.0), (1e-80, 1e77)])
+    def test_report_fields_are_python_floats(self, omega_a, omega_b):
+        expected = optimal_concurrence(omega_a, omega_b)
+        for convert in (float, np.float64, Fraction):
+            report = optimal_concurrence(convert(omega_a), convert(omega_b))
+            assert report == expected
+            assert all(type(getattr(report, f.name)) is float for f in dataclasses.fields(report) if f.name != "regime")
 
     @pytest.mark.parametrize("omega_b", [0.3, 1.0, 2.5])
     def test_regime_boundaries_agree(self, omega_b):

@@ -8,6 +8,8 @@ importing or running it.
 import ast
 import importlib
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import entscat
@@ -37,10 +39,36 @@ def test_layer_functions_are_public_functions_of_their_modules():
 
 
 def test_all_lists_exactly_the_imported_names():
+    # each name is exported once: imported eagerly by __init__ or listed in
+    # its lazy table, whose modules load numpy on first access
     tree = ast.parse(Path(entscat.__file__).read_text("utf-8"))
-    imported = [alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
+    eager = [alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
+    lazy = [name for names in entscat._LAZY.values() for name in names]
+    exported = eager + lazy
+    assert len(exported) == len(set(exported))
     assert len(entscat.__all__) == len(set(entscat.__all__))
-    assert set(entscat.__all__) == set(imported)
+    assert set(entscat.__all__) == set(exported)
+    assert set(entscat.__all__) <= set(dir(entscat))
+
+
+RESOLVE = """
+import sys, entscat, entscat.cli
+for name in sys.argv[1:]:
+    obj = getattr(entscat, name)
+    module = entscat._LAZY_NAMES.get(name)
+    if module is not None:  # looked up on its module afresh, never bound in the package
+        assert name not in vars(entscat) and obj is getattr(sys.modules["entscat." + module], name), name
+    elif name not in entscat.__all__:  # a layer
+        assert obj is sys.modules["entscat." + name], name
+"""
+
+
+def test_every_name_and_layer_resolves_in_a_fresh_interpreter():
+    # the imports and the getattr per layer of perfbench/run.py, before
+    # anything has imported the lazy modules
+    names = [*entscat.__all__, *assigned("LAYERS")]
+    proc = subprocess.run([sys.executable, "-c", RESOLVE, *names], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_no_bare_assert_in_the_package():

@@ -8,7 +8,7 @@ import pytest
 
 from entscat import Axis, DomainError, ModelKind, observables_at, run_scan, run_truncation, write_csv, write_json
 from entscat.cli import build_parser, main
-from entscat.sweep import resolve_point
+from entscat.core import resolve_point
 
 XY = ModelKind.SPIN_EXCHANGE
 HEIS = ModelKind.HEISENBERG_CONTACT
