@@ -76,7 +76,3 @@ def test_array_commands_load_numpy(tmp_path):
     assert verify.returncode == 0, verify.stderr
     assert imports_numpy(verify.stderr) and "PASS overall" in verify.stdout
 
-
-def test_the_log_reader_sees_numpy():
-    proc = run("-c", "import numpy")
-    assert imports_numpy(proc.stderr)
