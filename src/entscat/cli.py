@@ -38,7 +38,6 @@ from .optimize import (
     optimal_concurrence,
     reference_optimum_omega_b,
     resonance_curve_probability,
-    unit_concurrence_phase,
 )
 
 _MODELS = {"xy": ModelKind.SPIN_EXCHANGE, "heis": ModelKind.HEISENBERG_CONTACT}
@@ -199,7 +198,6 @@ def _cmd_optimize(parser, args) -> int:
     if args.omegaA is None or args.omegaB is None:
         parser.error("optimize report needs --omegaA and --omegaB")
     report = optimal_concurrence(args.omegaA, args.omegaB)
-    phase = unit_concurrence_phase(args.omegaA, args.omegaB)
     lines = [
         f"omega_a: {report.omega_a!r}",
         f"omega_b: {report.omega_b!r}",
@@ -208,10 +206,10 @@ def _cmd_optimize(parser, args) -> int:
         f"concurrence: {report.concurrence!r}",
         f"probability: {report.probability!r}",
     ]
-    if phase.sin2_kd is None:
-        lines.append(f"unit concurrence: infeasible ({phase.reason})")
+    if report.reason is None:
+        lines.append(f"unit concurrence: feasible at sin2_kd={report.phase_choice!r}")
     else:
-        lines.append(f"unit concurrence: feasible at sin2_kd={phase.sin2_kd!r}")
+        lines.append(f"unit concurrence: infeasible ({report.reason})")
     print("\n".join(lines))
     return 0
 

@@ -34,7 +34,9 @@ class Regime(Enum):
 @dataclass(frozen=True, slots=True)
 class OptimalityReport:
     """Best reachable concurrence at fixed couplings, the phase choice
-    sin^2(kd) that attains it, and the probability paid for it."""
+    sin^2(kd) that attains it, and the probability paid for it.  ``reason``
+    is None in the unit-concurrence region, else why no phase reaches C = 1
+    (the :class:`UnitPhase` reason)."""
 
     omega_a: float
     omega_b: float
@@ -42,6 +44,7 @@ class OptimalityReport:
     concurrence: float
     probability: float
     regime: Regime
+    reason: str | None
 
 
 class UnitPhase(NamedTuple):
@@ -120,7 +123,7 @@ def optimal_concurrence(omega_a: float, omega_b: float) -> OptimalityReport:
         p = math.nan
     if not math.isfinite(p):
         raise NumericError(f"probability is not finite in float64 at omega_a={omega_a!r}, omega_b={omega_b!r}")
-    return OptimalityReport(omega_a, omega_b, s, c, p, regime)
+    return OptimalityReport(omega_a, omega_b, s, c, p, regime, unit.reason)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

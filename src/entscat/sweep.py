@@ -46,6 +46,8 @@ class Axis:
             raise DomainError(f"axis {self.name!r} needs count >= 2, got {self.count}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise DomainError(f"axis {self.name!r} range must be finite")
+        if not math.isfinite(self.stop - self.start):
+            raise DomainError(f"axis {self.name!r} span stop - start is not finite in float64")
 
     def values(self) -> list[float]:
         step = (self.stop - self.start) / (self.count - 1)

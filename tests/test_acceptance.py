@@ -34,7 +34,9 @@ from entscat.sweep import Axis
 XY = ModelKind.SPIN_EXCHANGE
 HEIS = ModelKind.HEISENBERG_CONTACT
 SEED = 42
-SCRIPTS_DIR = Path(__file__).resolve().parent.parent / "scripts"
+spec = importlib.util.spec_from_file_location("recipes", Path(__file__).resolve().parent.parent / "scripts" / "recipes.py")
+recipes = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(recipes)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -308,23 +310,13 @@ def test_criterion_10_exchange_side_symmetry():
     )
 
 
-def _load_script(path: Path):
-    spec = importlib.util.spec_from_file_location(path.stem, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_criterion_11_cli_determinism(tmp_path):
-    scripts = sorted(SCRIPTS_DIR.glob("scan_*.py"))
-    assert scripts, "no recipe scripts found"
     start = time.perf_counter()
     compared = 0
     identical = True
-    for script in scripts:
-        module = _load_script(script)
-        first = module.run(tmp_path / "first")
-        second = module.run(tmp_path / "second")
+    for name in recipes.RECIPES:
+        first = recipes.run(name, tmp_path / "first")
+        second = recipes.run(name, tmp_path / "second")
         for a, b in zip(first, second):
             compared += 1
             if Path(a).read_bytes() != Path(b).read_bytes():
@@ -333,6 +325,6 @@ def test_criterion_11_cli_determinism(tmp_path):
     report(
         11,
         identical and elapsed < 60.0,
-        f"{len(scripts)} recipes x 2 runs: {compared} files byte-identical, "
+        f"{len(recipes.RECIPES)} recipes x 2 runs: {compared} files byte-identical, "
         f"total {elapsed:.1f}s (< 60s)",
     )

@@ -50,6 +50,7 @@ def assert_region_is_the_phase_verdict(omega_a, omega_b):
     else:
         assert report.regime is Regime.UNIT_CONCURRENCE_REGION
         assert (report.phase_choice, report.concurrence) == (unit.sin2_kd, 1.0)
+    assert report.reason == unit.reason
 
 
 def exact_left_concurrence(omega_a, omega_b):
@@ -240,7 +241,8 @@ class TestOptimalConcurrence:
         for convert in (float, np.float64, Fraction):
             report = optimal_concurrence(convert(omega_a), convert(omega_b))
             assert report == expected
-            assert all(type(getattr(report, f.name)) is float for f in dataclasses.fields(report) if f.name != "regime")
+            numeric = (f.name for f in dataclasses.fields(report) if f.name not in ("regime", "reason"))
+            assert all(type(getattr(report, name)) is float for name in numeric)
 
     @pytest.mark.parametrize("omega_b", [0.3, 1.0, 2.5])
     def test_regime_boundaries_agree(self, omega_b):

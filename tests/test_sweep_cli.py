@@ -6,7 +6,17 @@ import sys
 import mpmath
 import pytest
 
-from entscat import Axis, DomainError, ModelKind, observables_at, run_scan, run_truncation, write_csv, write_json
+from entscat import (
+    Axis,
+    DomainError,
+    ModelKind,
+    observables_at,
+    run_scan,
+    run_truncation,
+    unit_concurrence_phase,
+    write_csv,
+    write_json,
+)
 from entscat.cli import build_parser, main
 from entscat.core import resolve_point
 
@@ -328,6 +338,39 @@ def test_optimize_report_survives_an_underflowed_phase_solve(omega_a, omega_b, c
     out = capsys.readouterr().out
     assert "regime: left" in out
     assert "unit concurrence: infeasible (maximum ratio stays below 1 even at resonance)" in out
+
+
+def test_optimize_report_solves_the_unit_phase_once(monkeypatch, capsys):
+    import entscat.cli
+    import entscat.optimize
+
+    calls = []
+
+    def counting(omega_a, omega_b):
+        calls.append((omega_a, omega_b))
+        return unit_concurrence_phase(omega_a, omega_b)
+
+    monkeypatch.setattr(entscat.optimize, "unit_concurrence_phase", counting)
+    # a name the CLI imported itself would escape the patch above
+    monkeypatch.setattr(entscat.cli, "unit_concurrence_phase", counting, raising=False)
+    assert main(["optimize", "report", "--omegaA", "0.01", "--omegaB", "1"]) == 0
+    assert calls == [(0.01, 1.0)]
+    assert capsys.readouterr().out.endswith(
+        "unit concurrence: infeasible (maximum ratio stays below 1 even at resonance)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "params, axis",
+    [(["--gA", "1", "--gB", "1"], "k=-1e308:1e308:3"), (["--omegaA", "1", "--omegaB", "1"], "phase=-1e308:1e308:3")],
+)
+def test_scan_names_an_axis_whose_span_overflows(params, axis, capsys):
+    # stop - start is inf, so the cells would be nan and inf, values never given
+    with pytest.raises(SystemExit) as excinfo:
+        main(["scan", *params, "--axis", axis, "--out", "/nonexistent-dir/x.csv"])
+    assert excinfo.value.code == 2
+    name = axis.split("=")[0]
+    assert f"axis {name!r} span stop - start is not finite in float64" in capsys.readouterr().err
 
 
 def test_console_entry_point_runs():
