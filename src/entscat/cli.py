@@ -32,7 +32,7 @@ from .core import (
     resolve_point,
     validate,
 )
-from .observables import observables_at
+from .observables import _observables
 from .optimize import (
     find_global_p_opt,
     optimal_concurrence,
@@ -116,7 +116,7 @@ def _fmt(value) -> str:
 def _cmd_point(parser, args) -> int:
     pt = validate(resolve_point(_collect_params(args), _MODELS[args.model]))
     amps = amplitudes(pt)
-    obs = observables_at(pt)
+    obs = _observables(amps)
     s = math.sin(pt.phase)
     lines = [
         f"model: {args.model}",

@@ -30,6 +30,7 @@ the entanglement.
 from __future__ import annotations
 
 import cmath
+import sys
 
 from .core import (
     AmplitudeSet,
@@ -39,6 +40,7 @@ from .core import (
     NumericError,
     SiteCoefficients,
     UnsupportedModelError,
+    _is_stack,
     check_opacity,
     point_at,
     validate,
@@ -102,7 +104,8 @@ def dressed_coefficients(pt: DimensionlessPoint):
     pt = validate(pt)
     if pt.model is not ModelKind.HEISENBERG_CONTACT:
         raise UnsupportedModelError("dressed coefficients exist only for the contact model")
-    return _dressed(_site_terms(pt.omega_a, pt.model), _site_terms(pt.omega_b, pt.model), cmath.exp(2j * pt.phase))
+    e2 = (sys.modules["numpy"].exp if _is_stack(pt) else cmath.exp)(2j * pt.phase)  # a stack has loaded numpy
+    return _dressed(_site_terms(pt.omega_a, pt.model), _site_terms(pt.omega_b, pt.model), e2)
 
 
 def _bounce_sum(x, q, terms):
@@ -124,14 +127,9 @@ def _closed_forms(omega_a, omega_b, ea, em, e2, model, bounces=None):
     ``bounces`` bounces (exchange model only), or all of them when None.
 
     This is the only statement of the two-site closed forms.  It uses
-    ``+ - * /`` only, so :func:`amplitudes` runs it on Python complex scalars
-    and :func:`grid_amplitudes` on broadcast numpy arrays.
+    ``+ - * /`` only, so it runs on Python complex scalars at one point and
+    on broadcast numpy arrays on a stack.
     """
-    if bounces is not None:
-        if model is not ModelKind.SPIN_EXCHANGE:
-            raise UnsupportedModelError("bounce truncation is defined for the exchange model only")
-        if not isinstance(bounces, int) or bounces < 0:
-            raise DomainError(f"bounce count must be a non-negative integer, got {bounces!r}")
     a = _site_terms(omega_a, model)
     b = _site_terms(omega_b, model)
     a_t, a_r, a_f, a_ts, a_rs = a
@@ -161,28 +159,34 @@ def _closed_forms(omega_a, omega_b, ea, em, e2, model, bounces=None):
     return t_nf, r_nf, t_fb, r_fb, t_fa, r_fa
 
 
-def _not_finite(pt: DimensionlessPoint) -> NumericError:
-    return NumericError(
+def _at_point(pt: DimensionlessPoint, bounces=None) -> AmplitudeSet:
+    """:func:`_closed_forms` at a validated point with cmath phase factors,
+    or on a stack with numpy's (which may round the last digits otherwise).
+    Raises NumericError at the first cell where an amplitude is not finite."""
+    phase = pt.phase
+    if _is_stack(pt):
+        import numpy as np
+
+        with np.errstate(all="ignore"):
+            factors = np.exp(1j * phase), np.exp(-1j * phase), np.exp(2j * phase)
+            amps = _closed_forms(pt.omega_a, pt.omega_b, *factors, pt.model, bounces)
+            bad = ~np.isfinite(sum(amps))
+        if not bad.any():
+            return AmplitudeSet(*amps)
+        pt = point_at(pt, int(np.argmax(bad)))
+    else:
+        try:
+            amps = _closed_forms(pt.omega_a, pt.omega_b, cmath.exp(1j * phase), cmath.exp(-1j * phase),
+                                 cmath.exp(2j * phase), pt.model, bounces)
+            if cmath.isfinite(sum(amps)):  # |amplitude| <= 1, so the sum is finite exactly when every term is
+                return AmplitudeSet(*amps)
+        except ZeroDivisionError:  # a denominator rounded to exactly 0 (numpy gives inf there)
+            pass
+    raise NumericError(
         f"amplitudes are not finite in float64 at omega_a={pt.omega_a!r}, "
         f"omega_b={pt.omega_b!r}, phase={pt.phase!r} (model {pt.model.value})",
         pt,
     )
-
-
-def _at_point(pt: DimensionlessPoint, bounces=None):
-    """:func:`_closed_forms` at one validated point with cmath phase
-    factors.  Raises NumericError unless all six amplitudes are finite."""
-    phase = pt.phase
-    try:
-        amps = _closed_forms(pt.omega_a, pt.omega_b, cmath.exp(1j * phase), cmath.exp(-1j * phase),
-                             cmath.exp(2j * phase), pt.model, bounces)
-        # |amplitude| <= 1, so the sum is finite exactly when every term is
-        finite = cmath.isfinite(sum(amps))
-    except ZeroDivisionError:  # a denominator rounded to exactly 0 (numpy gives inf there)
-        finite = False
-    if not finite:
-        raise _not_finite(pt)
-    return amps
 
 
 def amplitudes(pt: DimensionlessPoint) -> AmplitudeSet:
@@ -193,8 +197,7 @@ def amplitudes(pt: DimensionlessPoint) -> AmplitudeSet:
     above about 1e8, and omega^2 overflows above about 1e154.  A result
     that is not finite raises NumericError with the point attached.
     """
-    pt = validate(pt)
-    return AmplitudeSet(*_at_point(pt))
+    return _at_point(validate(pt))
 
 
 def truncated_amplitudes(pt: DimensionlessPoint, n: int) -> AmplitudeSet:
@@ -208,25 +211,9 @@ def truncated_amplitudes(pt: DimensionlessPoint, n: int) -> AmplitudeSet:
     The contact model is rejected: its nested series have no single
     bounce-count convention, so no truncation is defined for it here.
     """
-    return AmplitudeSet(*_at_point(validate(pt), n))
-
-
-def grid_amplitudes(pt: DimensionlessPoint, bounces: int | None = None) -> AmplitudeSet:
-    """Array form of :func:`amplitudes` (``bounces`` None) or of
-    :func:`truncated_amplitudes` (``bounces`` = n, exchange model only).
-
-    ``pt`` is a validated point whose fields are numpy arrays that broadcast
-    together, its phase folded.  Returns the amplitudes as arrays, from the
-    same closed forms as the scalar path; numpy's complex arithmetic may
-    round the last digits differently.  Raises NumericError at the first
-    cell, in row-major order, where an amplitude is not finite.
-    """
-    import numpy as np
-
-    with np.errstate(all="ignore"):
-        factors = np.exp(1j * pt.phase), np.exp(-1j * pt.phase), np.exp(2j * pt.phase)
-        amps = _closed_forms(pt.omega_a, pt.omega_b, *factors, pt.model, bounces)
-        bad = ~np.isfinite(sum(amps))
-    if bad.any():
-        raise _not_finite(point_at(pt, int(np.argmax(bad))))
-    return AmplitudeSet(*amps)
+    pt = validate(pt)
+    if pt.model is not ModelKind.SPIN_EXCHANGE:
+        raise UnsupportedModelError("bounce truncation is defined for the exchange model only")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise DomainError(f"bounce count must be a non-negative integer, got {n!r}")
+    return _at_point(pt, n)

@@ -74,6 +74,12 @@ class DimensionlessPoint:
 
     ``phase_original`` is populated by :func:`validate` when the phase had
     to be folded into [0, pi); it preserves the caller's raw value.
+
+    A stacked point has a numpy array in some field, the fields broadcasting
+    together; cell i, in row-major order, is :func:`point_at` (pt, i).  Every
+    function that takes a point takes a stack and answers cell by cell, in
+    arrays; where cells fail, it raises what the first of them raises alone.
+    numpy scalars are points, not stacks.
     """
 
     omega_a: float
@@ -140,6 +146,9 @@ class ObservableSet:
     norm and can underflow to 0.0 while C is still defined (at opacities
     near 1e-300, P = 0.0 with C = 1.0).  The ratio may be ``inf`` when only
     the A-flip branch survives.
+
+    On a stacked point every field is an array over the cells, and C and a
+    are NaN where a point's would be None.
     """
 
     concurrence_t: float | None
@@ -160,6 +169,14 @@ def _is_array(x) -> bool:
     functions, so while it is not loaded no input can be one."""
     np = sys.modules.get("numpy")
     return np is not None and isinstance(x, np.ndarray)
+
+
+def _is_stack(pt: DimensionlessPoint) -> bool:
+    """Whether ``pt`` is a stacked point (see :class:`DimensionlessPoint`)."""
+    if isinstance(pt.omega_a, float) and isinstance(pt.omega_b, float) and isinstance(pt.phase, float):
+        return False  # plain floats, the common case, skip the array test
+    array = getattr(sys.modules.get("numpy"), "ndarray", ())  # no input is an array while numpy is not loaded
+    return isinstance(pt.omega_a, array) or isinstance(pt.omega_b, array) or isinstance(pt.phase, array)
 
 
 def opacity_ok(omega):
@@ -215,10 +232,13 @@ def check_opacity(name: str, omega: float) -> None:
         check_rules((name, omega, False, _OPACITY))
 
 
-def fold_phase(phase):
-    """``phase`` folded into [0, pi).  Elementwise on numpy arrays."""
-    folded = phase % math.pi
-    return folded - math.pi * (folded >= math.pi)  # a tiny negative phase rounds up to pi
+def check_count(name: str, value) -> None:
+    """Raise ValidationError unless ``value`` is an integer; numpy integers
+    count, as :func:`operator.index` takes them."""
+    try:
+        operator.index(value)
+    except TypeError:
+        check_rules((name, value, False, "must be an integer"))
 
 
 def validate(pt: DimensionlessPoint) -> DimensionlessPoint:
@@ -226,13 +246,12 @@ def validate(pt: DimensionlessPoint) -> DimensionlessPoint:
 
     Raises ValidationError for non-finite or negative opacities and for a
     non-finite phase.  Returns the point unchanged when already canonical.
-    Elementwise on a point whose fields are equal-shape numpy arrays: the
-    error is the one that the first failing cell raises on its own, and
-    ``phase_original`` keeps the raw phases of every cell.
+    Cell by cell on a stacked point, whose ``phase_original`` keeps the raw
+    phases.
     """
     phase = pt.phase
     if (
-        not _is_array(phase)
+        not _is_stack(pt)
         and 0.0 <= phase < math.pi
         and opacity_ok(pt.omega_a)
         and opacity_ok(pt.omega_b)
@@ -240,7 +259,9 @@ def validate(pt: DimensionlessPoint) -> DimensionlessPoint:
         return pt
     check_point(pt)
     original = phase if pt.phase_original is None else pt.phase_original
-    return DimensionlessPoint(pt.omega_a, pt.omega_b, fold_phase(phase), pt.model, original)
+    folded = phase % math.pi
+    folded = folded - math.pi * (folded >= math.pi)  # a tiny negative phase rounds up to pi
+    return DimensionlessPoint(pt.omega_a, pt.omega_b, folded, pt.model, original)
 
 
 def point_at(pt: DimensionlessPoint, index: int) -> DimensionlessPoint:

@@ -58,20 +58,19 @@ def build_matching_system(pt: DimensionlessPoint) -> tuple[np.ndarray, np.ndarra
     """Assemble the continuity and derivative-jump equations at both sites,
     as the dense 12x12 system M x = b: returns (M, b).
 
-    On a point whose fields are equal-shape numpy arrays, one system per
-    sample, stacked over the leading axes: M has shape (..., 12, 12) and b
-    shape (..., 12)."""
+    On a stacked point, one system per cell, stacked over the leading axes:
+    M has shape (..., 12, 12) and b shape (..., 12)."""
     pt = validate(pt)
     m_a, m_b = _COUPLINGS[pt.model]
-    phase = np.asarray(pt.phase)
+    omega_a, omega_b, phase = np.broadcast_arrays(pt.omega_a, pt.omega_b, pt.phase)
     ea = np.exp(1j * phase)[..., None]  # k = 1, d = phase
     em = np.exp(-1j * phase)[..., None]
     c = _CHANNELS
     # the jump's 2 omega M, per site [..., c, c']; an opacity past half the
     # float64 maximum gives an infinite entry where M is nonzero, never inf * 0
     with np.errstate(over="ignore"):
-        coupling_a = np.asarray(pt.omega_a)[..., None, None] * (2.0 * m_a)
-        coupling_b = np.asarray(pt.omega_b)[..., None, None] * (2.0 * m_b)
+        coupling_a = omega_a[..., None, None] * (2.0 * m_a)
+        coupling_b = omega_b[..., None, None] * (2.0 * m_b)
     matrix = np.zeros(phase.shape + (12, 12), dtype=complex)
     rhs = np.zeros(phase.shape + (12,), dtype=complex)
 
@@ -142,9 +141,8 @@ def solve_system(matrix: np.ndarray, rhs: np.ndarray, point: DimensionlessPoint)
 def solve_amplitudes_numeric(pt: DimensionlessPoint) -> AmplitudeSet:
     """Solve the matching system and extract the outgoing amplitudes.
 
-    On a point whose fields are equal-shape numpy arrays, one stacked solve
-    whose fields are arrays of that shape; at a single point the fields are
-    Python complex numbers."""
+    On a stacked point, one stacked solve whose fields are arrays of the
+    stack's shape; at a single point the fields are Python complex numbers."""
     pt = validate(pt)
     outgoing = solve_system(*build_matching_system(pt), pt)[..., _OUTGOING]
     if outgoing.ndim == 1:

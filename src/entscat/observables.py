@@ -66,35 +66,28 @@ def probability(x, y):
 
 
 def observables_at(pt: DimensionlessPoint) -> ObservableSet:
-    """Full per-side observables at a parameter point."""
-    amps = amplitudes(pt)
-    x_t, y_t = map(abs, post_selected_state(amps, "t"))
-    x_r, y_r = map(abs, post_selected_state(amps, "r"))
-    c_t, a_t = concurrence_and_ratio(x_t, y_t)
-    c_r, a_r = concurrence_and_ratio(x_r, y_r)
-    return ObservableSet(
-        concurrence_t=c_t,
-        probability_t=probability(x_t, y_t),
-        ratio_a_t=a_t,
-        concurrence_r=c_r,
-        probability_r=probability(x_r, y_r),
-        ratio_a_r=a_r,
-    )
+    """Full per-side observables at a parameter point, or on a stacked point
+    (see :class:`ObservableSet`)."""
+    return _observables(amplitudes(pt))
 
 
-def side_arrays(w_updown, w_downup):
-    """Array form of :func:`concurrence_and_ratio` and :func:`probability`
-    for one side, from arrays of the flip amplitudes.
+def _observables(amps: AmplitudeSet) -> ObservableSet:
+    """The observables of ``amps``, side by side."""
+    return ObservableSet(*_side(amps, "t"), *_side(amps, "r"))
 
-    Returns (C, P, a) arrays, with C and a NaN exactly where both weights
-    are 0 (0/0); a is inf where only the A-flip weight survives.
-    """
-    import numpy as np
 
-    x = np.abs(w_updown)
-    y = np.abs(w_downup)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return concurrence(np.minimum(x, y), np.maximum(x, y)), probability(x, y), y / x
+def _side(amps: AmplitudeSet, side: str):
+    """(C, P, a) of ``side``: C and a by :func:`concurrence_and_ratio` from
+    complex amplitudes, and elementwise, with NaN for None, from arrays."""
+    x, y = map(abs, post_selected_state(amps, side))
+    if isinstance(x, float):
+        c, a = concurrence_and_ratio(x, y)
+    else:
+        import numpy as np
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c, a = concurrence(np.minimum(x, y), np.maximum(x, y)), y / x
+    return c, probability(x, y), a
 
 
 def model1_probability(omega_a, omega_b, sin2_kd):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .closedform import grid_amplitudes
+from .closedform import truncated_amplitudes
 from .core import (
     DEFAULT_COLUMNS,
     DIMENSIONLESS_NAMES,
@@ -26,10 +26,11 @@ from .core import (
     DimensionlessPoint,
     DomainError,
     ModelKind,
-    fold_phase,
+    check_count,
     resolve_point,
+    validate,
 )
-from .observables import post_selected_state, side_arrays
+from .observables import _observables, observables_at
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,7 @@ class Axis:
     count: int
 
     def __post_init__(self):
+        check_count(f"axis {self.name!r} count", self.count)
         if self.count < 2:
             raise DomainError(f"axis {self.name!r} needs count >= 2, got {self.count}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
@@ -109,13 +111,12 @@ def make_grid(
 
 
 def _resolve_grid(axes: tuple[Axis, ...], fixed: dict[str, float], model: ModelKind) -> DimensionlessPoint:
-    """Every cell as one point, fields broadcasting to the grid in row-major
-    axis order, phase folded: :func:`resolve_point` run once on the axes."""
+    """Every cell as one validated stacked point, fields broadcasting to the
+    grid in row-major axis order: :func:`resolve_point` run once on the axes."""
     params = dict(fixed)
     for i, ax in enumerate(axes):
         params[ax.name] = np.reshape(ax.values(), [-1 if j == i else 1 for j in range(len(axes))])
-    pt = resolve_point(params, model)
-    return DimensionlessPoint(pt.omega_a, pt.omega_b, fold_phase(pt.phase), model)
+    return validate(resolve_point(params, model))
 
 
 def _columns(shape: tuple[int, ...], arrays) -> list[list[float | None]]:
@@ -137,18 +138,16 @@ def run_scan(
     columns: tuple[str, ...] = DEFAULT_COLUMNS,
 ) -> SweepGrid:
     """Evaluate the observables on a 1D or 2D grid, in one vectorized pass
-    of the closed forms over the whole grid."""
+    of :func:`observables_at` over the whole grid."""
     _check_request(axes, fixed, "column", columns)
     if not columns:
         raise DomainError("need at least one column")
     for col in columns:
         if col not in KNOWN_COLUMNS:
             raise DomainError(f"unknown column {col!r}; known: {KNOWN_COLUMNS}")
-    amps = grid_amplitudes(_resolve_grid(axes, fixed, model))
-    c_t, p_t, a_t = side_arrays(*post_selected_state(amps, "t"))
-    c_r, p_r, a_r = side_arrays(*post_selected_state(amps, "r"))
-    by_name = {"C_t": c_t, "P_t": p_t, "C_r": c_r, "P_r": p_r, "a_t": a_t, "a_r": a_r}
-    del amps  # free the amplitude arrays before the rows are built
+    obs = observables_at(_resolve_grid(axes, fixed, model))
+    by_name = {"C_t": obs.concurrence_t, "P_t": obs.probability_t, "a_t": obs.ratio_a_t,
+               "C_r": obs.concurrence_r, "P_r": obs.probability_r, "a_r": obs.ratio_a_r}
     rows = zip(*_columns(tuple(ax.count for ax in axes), [by_name[c] for c in columns]))
     return make_grid("scan", model, axes, fixed, columns, rows)
 
@@ -162,15 +161,11 @@ def run_truncation(
     next to the exact values (exchange model, transmitted side)."""
     model = ModelKind.SPIN_EXCHANGE
     _check_request((axis,), fixed, "bounce order", bounce_orders)
-    columns = []
-    for n in bounce_orders:
-        columns += [f"C_n{n}", f"P_n{n}"]
-    columns += ["C_exact", "P_exact"]
+    columns = [f"{name}_n{n}" for n in bounce_orders for name in "CP"] + ["C_exact", "P_exact"]
     cells = _resolve_grid((axis,), fixed, model)
     arrays = []
-    for n in (*bounce_orders, None):
-        amps = grid_amplitudes(cells, n)
-        arrays += side_arrays(*post_selected_state(amps, "t"))[:2]
+    for obs in [*(_observables(truncated_amplitudes(cells, n)) for n in bounce_orders), observables_at(cells)]:
+        arrays += obs.concurrence_t, obs.probability_t
     rows = zip(*_columns((axis.count,), arrays))
     orders = ",".join(str(n) for n in bounce_orders)
     return make_grid("truncate", model, (axis,), fixed, columns, rows, bounce_orders=orders)

@@ -9,10 +9,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closedform import _dressed, _site_terms, grid_amplitudes
-from .core import DimensionlessPoint, ModelKind, NumericError, UnsupportedModelError, check_rules, point_at, validate
+from .closedform import _dressed, _site_terms, amplitudes
+from .core import DimensionlessPoint, ModelKind, NumericError, UnsupportedModelError, _is_stack
+from .core import check_count, check_rules, point_at, validate
 from .matching import solve_amplitudes_numeric
-from .observables import post_selected_state, side_arrays
+from .observables import _observables
 
 
 @dataclass
@@ -91,8 +92,8 @@ def _series_sigma(f, r_own, r_same_partner, e2):
 
 def dressing_series_deviation(pt: DimensionlessPoint):
     """Worst difference between the closed dressing sums and their direct
-    series evaluation at this point: a float, or an array of them on a point
-    whose fields are equal-shape numpy arrays.
+    series evaluation at this point: a float, or an array of them, one per
+    cell, on a stacked point.
 
     Raises NumericError where the series does not converge in float64 (see
     :func:`_series_sigma`) or a sum is not finite; on a stack, the error
@@ -116,23 +117,23 @@ def dressing_series_deviation(pt: DimensionlessPoint):
         cell = point_at(pt, int(np.argmax(bad)))
         raise NumericError(f"dressing check not computable in float64 (|q| ~ 1 or overflow) at {cell!r}", cell)
     deviation = np.maximum(abs(sigma_a - series_a), abs(sigma_b - series_b))
-    return deviation if np.ndim(pt.phase) else float(deviation[0])
+    return deviation if _is_stack(pt) else float(deviation[0])
 
 
 def _deviations(stack: DimensionlessPoint) -> list[tuple[str, float, np.ndarray]]:
     """(name, tolerance, deviation per sample) of each check on the stacked
-    sample ``stack``: one oracle solve, and the closed side through the grid
-    path that ``entscat scan`` uses."""
+    sample ``stack``: one oracle solve, and the closed side through the same
+    stacked :func:`amplitudes` that ``entscat scan`` uses."""
     numeric = solve_amplitudes_numeric(stack)
-    closed = grid_amplitudes(stack)
+    closed = amplitudes(stack)
     checks = [
         ("closed vs numeric amplitudes", 1e-10, np.abs(np.subtract(closed, numeric)).max(axis=0)),
         ("closed-form flux unitarity", 1e-12, np.abs(closed.flux() - 1.0)),
         ("numeric flux unitarity", 1e-10, np.abs(numeric.flux() - 1.0)),
     ]
     if stack.model is ModelKind.SPIN_EXCHANGE:
-        c_t, p_t, _ = side_arrays(*post_selected_state(closed, "t"))
-        c_r, p_r, _ = side_arrays(*post_selected_state(closed, "r"))
+        obs = _observables(closed)
+        c_t, p_t, c_r, p_r = obs.concurrence_t, obs.probability_t, obs.concurrence_r, obs.probability_r
         c_gap = np.where(np.isnan(c_t), 0.0, np.abs(c_t - c_r))  # C counts where C_t is defined
         no_flip = abs(closed.t_noflip) ** 2 + abs(closed.r_noflip) ** 2
         return checks + [
@@ -153,8 +154,10 @@ def run_verification(
     and both unitarity sums.  Exchange model adds the side-symmetry and
     flux-closure identities; contact model adds the dressing series check.
     Each model's samples are checked as one stack.  Raises DomainError for
-    fewer than one sample or a negative seed.
+    a count that is not an integer, fewer than one sample or a negative seed.
     """
+    check_count("samples", samples)
+    check_count("seed", seed)
     check_rules(("samples", samples, samples >= 1, "must be >= 1"), ("seed", seed, seed >= 0, "must be >= 0"))
     report = VerificationReport(samples_per_model=samples, seed=seed)
     for model in models:

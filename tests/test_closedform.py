@@ -145,8 +145,9 @@ class TestTruncatedAmplitudes:
             truncated_amplitudes(DimensionlessPoint(1.0, 1.0, 0.5, HEIS), 3)
 
     def test_rejects_negative_order(self):
-        with pytest.raises(DomainError):
-            truncated_amplitudes(DimensionlessPoint(1.0, 1.0, 0.5, XY), -1)
+        for n in (-1, None, True, 2.0):
+            with pytest.raises(DomainError, match="bounce count must be a non-negative integer"):
+                truncated_amplitudes(DimensionlessPoint(1.0, 1.0, 0.5, XY), n)
 
     def test_zero_bounces_keeps_direct_paths_only(self):
         pt = DimensionlessPoint(0.8, 1.3, 0.6, XY)

@@ -26,19 +26,22 @@ from entscat import (
     DomainError,
     ModelKind,
     NumericError,
+    ObservableSet,
     amplitudes,
+    dressed_coefficients,
     observables_at,
     run_scan,
     run_truncation,
+    solve_amplitudes_numeric,
     truncated_amplitudes,
     validate,
     write_csv,
     write_json,
 )
 from entscat.cli import main
-from entscat.closedform import grid_amplitudes
 from entscat.core import point_at, resolve_point
 from entscat.sweep import SweepGrid, make_grid, _resolve_grid
+from entscat.verify import dressing_series_deviation
 
 XY = ModelKind.SPIN_EXCHANGE
 HEIS = ModelKind.HEISENBERG_CONTACT
@@ -74,9 +77,9 @@ class TestFrozenScalarPath:
 
 
 @pytest.mark.parametrize("bounces", [None, 2])
-def test_grid_amplitudes_is_an_amplitude_set_of_cell_arrays(bounces):
+def test_amplitudes_on_a_grid_is_an_amplitude_set_of_cell_arrays(bounces):
     cells = _resolve_grid((Axis("omegaA", 0.1, 3.0, 7), Axis("omegaB", 0.2, 2.0, 5)), {"phase": 4.1}, XY)
-    amps = grid_amplitudes(cells, bounces)
+    amps = amplitudes(cells) if bounces is None else truncated_amplitudes(cells, bounces)
     assert isinstance(amps, AmplitudeSet)
     assert [z.shape for z in amps] == [(7, 5)] * 6
     for i in range(35):
@@ -84,6 +87,82 @@ def test_grid_amplitudes_is_an_amplitude_set_of_cell_arrays(bounces):
         alone = amplitudes(pt) if bounces is None else truncated_amplitudes(pt, bounces)
         for name, z, want in zip(AmplitudeSet._fields, amps, alone):
             assert cmath.isclose(z.flat[i], want, rel_tol=GRID_REL, abs_tol=GRID_ABS), (name, i)
+
+
+# ---------------------------------------------------------------------------
+# every entry on a stacked point answers as its one-point calls do, cell by cell
+
+# (entry, models, exact): the oracle, validate and the dressing check must match
+# their one-point calls bit for bit, the closed forms within GRID_REL/GRID_ABS
+STACK_ENTRIES = {
+    "validate": (validate, (XY, HEIS), True),
+    "amplitudes": (amplitudes, (XY, HEIS), False),
+    "truncated_amplitudes": (lambda pt: truncated_amplitudes(pt, 3), (XY,), False),
+    "observables_at": (observables_at, (XY, HEIS), False),
+    "dressed_coefficients": (dressed_coefficients, (HEIS,), False),
+    "solve_amplitudes_numeric": (solve_amplitudes_numeric, (XY, HEIS), True),
+    "dressing_series_deviation": (dressing_series_deviation, (HEIS,), True),
+}
+COLUMN, ROW = np.array([[0.0], [0.7], [3.0]]), np.array([[0.0, 0.4, 1.9, 12.0]])
+STACKS = {
+    # (3,1) x (1,4) opacities with a scalar phase outside [0, pi), and inside it, as `scan --sin2kd 1` builds
+    "broadcast": (COLUMN, ROW, 4.1),
+    "broadcast-sin2kd-1": (COLUMN, ROW, math.pi / 2),
+    "equal-shape": (np.array([0.0, 1.0, 0.3, 7.0, 2.0]), np.array([0.5, 0.0, 2.2, 7.0, 19.0]),
+                    np.array([-1.0, 0.5, 3.5, 10.0, 0.0])),
+    # non-finite cells: each stack must raise the error of its first bad cell
+    "broadcast-nan": (np.array([[0.7], [math.nan], [3.0]]), ROW, 4.1),
+    "equal-shape-inf": (np.array([0.0, 1.0, 0.3, 7.0, 2.0]), np.array([0.5, 0.0, math.inf, 7.0, 19.0]),
+                        np.array([-1.0, 0.5, 3.5, 10.0, math.nan])),
+}
+# an overflowing cell: every entry that raises NumericError there alone must raise it on the stack
+OVERFLOW = (np.array([0.3, 1e160, 2.0]), np.array([1.0, 1.0, 1e160]), np.array([0.5, 0.5, 0.5]))
+
+
+def _values(result):
+    """The numbers an entry returned, in a fixed order, None as NaN."""
+    if isinstance(result, DimensionlessPoint):
+        raw = result.phase if result.phase_original is None else result.phase_original
+        return (result.omega_a, result.omega_b, result.phase, raw)
+    if isinstance(result, ObservableSet):
+        return tuple(math.nan if getattr(result, f) is None else getattr(result, f) for f in FIELDS)
+    return tuple(result) if isinstance(result, tuple) else (result,)
+
+
+def _stack_cases():
+    for name, (_, models, _) in STACK_ENTRIES.items():
+        for model in models:
+            for stack in STACKS:
+                yield pytest.param(name, model, STACKS[stack], id=f"{name}-{model.value}-{stack}")
+            if name not in ("validate", "dressed_coefficients"):  # they do not raise where amplitudes overflow
+                yield pytest.param(name, model, OVERFLOW, id=f"{name}-{model.value}-overflow")
+
+
+@pytest.mark.parametrize("name, model, fields", list(_stack_cases()))
+def test_every_entry_answers_a_stack_cell_by_cell(name, model, fields):
+    entry, _, exact = STACK_ENTRIES[name]
+    stack = DimensionlessPoint(*fields, model)
+    shape = np.broadcast_shapes(*(np.shape(x) for x in fields))
+    alone = []
+    for i in range(math.prod(shape)):
+        try:
+            alone.append(_values(entry(point_at(stack, i))))
+        except (DomainError, NumericError) as exc:
+            with pytest.raises(type(exc)) as excinfo:
+                entry(stack)
+            assert str(excinfo.value) == str(exc)
+            assert getattr(excinfo.value, "point", None) == getattr(exc, "point", None)
+            return
+    stacked = [np.broadcast_to(v, shape) for v in _values(entry(stack))]
+    for i, values in enumerate(alone):
+        for field, (array, want) in enumerate(zip(stacked, values)):
+            got = complex(array.flat[i])
+            if exact:
+                assert repr(got) == repr(complex(want)), (i, field)
+            elif math.isnan(abs(complex(want))):
+                assert math.isnan(abs(got)), (i, field)
+            else:
+                assert cmath.isclose(got, want, rel_tol=GRID_REL, abs_tol=GRID_ABS), (i, field, got, want)
 
 
 class TestNumericError:

@@ -16,7 +16,6 @@ from entscat import (
     model1_ratio,
     observables_at,
 )
-from entscat.closedform import grid_amplitudes
 from entscat.core import point_at
 from entscat.observables import post_selected_state, probability
 from entscat.verify import sample_points
@@ -39,7 +38,7 @@ def test_post_selected_state_picks_the_right_amplitudes():
 @pytest.mark.parametrize("model", [XY, HEIS])
 def test_post_selected_state_works_on_a_stacked_record(model):
     stack = sample_points(model, 40, 3)
-    amps = grid_amplitudes(stack)
+    amps = amplitudes(stack)
     for side in ("t", "r"):
         weights = post_selected_state(amps, side)
         assert [w.shape for w in weights] == [(40,), (40,)]

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import mpmath
+import numpy as np
 import pytest
 
 from entscat import (
@@ -36,6 +37,10 @@ class TestAxis:
     def test_count_below_two_rejected(self):
         with pytest.raises(DomainError):
             Axis("k", 0.0, 1.0, 1)
+        for count in (2.5, 3.0, "3", None):
+            with pytest.raises(DomainError, match=r"axis 'k' count must be an integer"):
+                Axis("k", 1.0, 2.0, count)
+        assert Axis("k", 1.0, 2.0, np.int64(3)).values() == [1.0, 1.5, 2.0]  # numpy integers are counts
 
     def test_degenerate_range_allowed(self):
         assert Axis("k", 3.0, 3.0, 2).values() == [3.0, 3.0]

@@ -188,15 +188,19 @@ class TestCheckResult:
         assert check.worst_point == reference.worst_point
 
 
-@pytest.mark.parametrize("samples", [0, -3])
+@pytest.mark.parametrize("samples", [0, -3, 5.5])
 def test_battery_rejects_fewer_than_one_sample(samples):
-    with pytest.raises(DomainError, match="samples must be >= 1"):
+    message = "samples must be >= 1" if isinstance(samples, int) else r"samples must be an integer, got 5\.5"
+    with pytest.raises(DomainError, match=message):
         run_verification(samples, 1)
 
 
 def test_battery_rejects_a_negative_seed():
     with pytest.raises(DomainError, match=r"seed must be >= 0, got -1"):
         run_verification(1, -1)
+    with pytest.raises(DomainError, match=r"seed must be an integer, got 2\.5"):
+        run_verification(5, 2.5)
+    assert run_verification(np.int64(3), np.int64(1)).ok  # numpy integers are counts
 
 
 @pytest.mark.parametrize("model", [XY, HEIS])
