@@ -68,11 +68,13 @@ class TestConcurrenceAndRatio:
         c, a = concurrence_and_ratio(0.0, 0.0)
         assert c is None and a is None
 
+    # Subnormal parts carry too few bits for a 1e-13 check: |5e-324 + 5e-324j|
+    # rounds to 5e-324, 30% off, before concurrence_and_ratio sees it.
     @given(
-        re_x=st.floats(-2.0, 2.0),
-        im_x=st.floats(-2.0, 2.0),
-        re_y=st.floats(-2.0, 2.0),
-        im_y=st.floats(-2.0, 2.0),
+        re_x=st.floats(-2.0, 2.0, allow_subnormal=False),
+        im_x=st.floats(-2.0, 2.0, allow_subnormal=False),
+        re_y=st.floats(-2.0, 2.0, allow_subnormal=False),
+        im_y=st.floats(-2.0, 2.0, allow_subnormal=False),
     )
     @settings(max_examples=150)
     def test_invariant_under_global_rescaling(self, re_x, im_x, re_y, im_y):
