@@ -30,7 +30,6 @@ the entanglement.
 from __future__ import annotations
 
 import cmath
-import sys
 
 from .core import (
     AmplitudeSet,
@@ -104,7 +103,12 @@ def dressed_coefficients(pt: DimensionlessPoint):
     pt = validate(pt)
     if pt.model is not ModelKind.HEISENBERG_CONTACT:
         raise UnsupportedModelError("dressed coefficients exist only for the contact model")
-    e2 = (sys.modules["numpy"].exp if _is_stack(pt) else cmath.exp)(2j * pt.phase)  # a stack has loaded numpy
+    if _is_stack(pt):
+        import numpy as np
+
+        e2 = np.exp(2j * pt.phase)
+    else:
+        e2 = cmath.exp(2j * pt.phase)
     return _dressed(_site_terms(pt.omega_a, pt.model), _site_terms(pt.omega_b, pt.model), e2)
 
 

@@ -175,8 +175,7 @@ def _is_stack(pt: DimensionlessPoint) -> bool:
     """Whether ``pt`` is a stacked point (see :class:`DimensionlessPoint`)."""
     if isinstance(pt.omega_a, float) and isinstance(pt.omega_b, float) and isinstance(pt.phase, float):
         return False  # plain floats, the common case, skip the array test
-    array = getattr(sys.modules.get("numpy"), "ndarray", ())  # no input is an array while numpy is not loaded
-    return isinstance(pt.omega_a, array) or isinstance(pt.omega_b, array) or isinstance(pt.phase, array)
+    return _is_array(pt.omega_a) or _is_array(pt.omega_b) or _is_array(pt.phase)
 
 
 def opacity_ok(omega):
@@ -232,11 +231,11 @@ def check_opacity(name: str, omega: float) -> None:
         check_rules((name, omega, False, _OPACITY))
 
 
-def check_count(name: str, value) -> None:
-    """Raise ValidationError unless ``value`` is an integer; numpy integers
-    count, as :func:`operator.index` takes them."""
+def check_count(name: str, value) -> int:
+    """``value`` as a Python int, or ValidationError unless it is an integer;
+    numpy integers count, as :func:`operator.index` takes them."""
     try:
-        operator.index(value)
+        return operator.index(value)
     except TypeError:
         check_rules((name, value, False, "must be an integer"))
 

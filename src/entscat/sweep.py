@@ -43,7 +43,7 @@ class Axis:
     count: int
 
     def __post_init__(self):
-        check_count(f"axis {self.name!r} count", self.count)
+        object.__setattr__(self, "count", check_count(f"axis {self.name!r} count", self.count))
         if self.count < 2:
             raise DomainError(f"axis {self.name!r} needs count >= 2, got {self.count}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
@@ -161,11 +161,17 @@ def run_truncation(
     next to the exact values (exchange model, transmitted side)."""
     model = ModelKind.SPIN_EXCHANGE
     _check_request((axis,), fixed, "bounce order", bounce_orders)
-    columns = [f"{name}_n{n}" for n in bounce_orders for name in "CP"] + ["C_exact", "P_exact"]
+    columns = []
+    for n in bounce_orders:
+        columns += [f"C_n{n}", f"P_n{n}"]
+    columns += ["C_exact", "P_exact"]
     cells = _resolve_grid((axis,), fixed, model)
     arrays = []
-    for obs in [*(_observables(truncated_amplitudes(cells, n)) for n in bounce_orders), observables_at(cells)]:
+    for n in bounce_orders:
+        obs = _observables(truncated_amplitudes(cells, n))
         arrays += obs.concurrence_t, obs.probability_t
+    obs = observables_at(cells)
+    arrays += obs.concurrence_t, obs.probability_t
     rows = zip(*_columns((axis.count,), arrays))
     orders = ",".join(str(n) for n in bounce_orders)
     return make_grid("truncate", model, (axis,), fixed, columns, rows, bounce_orders=orders)

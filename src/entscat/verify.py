@@ -156,8 +156,8 @@ def run_verification(
     Each model's samples are checked as one stack.  Raises DomainError for
     a count that is not an integer, fewer than one sample or a negative seed.
     """
-    check_count("samples", samples)
-    check_count("seed", seed)
+    samples = check_count("samples", samples)
+    seed = check_count("seed", seed)
     check_rules(("samples", samples, samples >= 1, "must be >= 1"), ("seed", seed, seed >= 0, "must be >= 0"))
     report = VerificationReport(samples_per_model=samples, seed=seed)
     for model in models:

@@ -34,13 +34,16 @@ class TestAxis:
         assert vals[0] == 0.05
         assert vals[-1] == 10.0
 
-    def test_count_below_two_rejected(self):
+    def test_count_below_two_rejected(self, tmp_path):
         with pytest.raises(DomainError):
             Axis("k", 0.0, 1.0, 1)
         for count in (2.5, 3.0, "3", None):
             with pytest.raises(DomainError, match=r"axis 'k' count must be an integer"):
                 Axis("k", 1.0, 2.0, count)
-        assert Axis("k", 1.0, 2.0, np.int64(3)).values() == [1.0, 1.5, 2.0]  # numpy integers are counts
+        ax = Axis("k", 1.0, 2.0, np.int64(3))  # numpy integers are counts, kept as Python ints
+        assert type(ax.count) is int and ax.values() == [1.0, 1.5, 2.0]
+        write_json(run_scan((ax,), {"gA": 1.0, "gB": 2.0}, XY), tmp_path / "s.json")
+        assert json.loads((tmp_path / "s.json").read_text())["axes"][0]["count"] == 3
 
     def test_degenerate_range_allowed(self):
         assert Axis("k", 3.0, 3.0, 2).values() == [3.0, 3.0]

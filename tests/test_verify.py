@@ -200,7 +200,8 @@ def test_battery_rejects_a_negative_seed():
         run_verification(1, -1)
     with pytest.raises(DomainError, match=r"seed must be an integer, got 2\.5"):
         run_verification(5, 2.5)
-    assert run_verification(np.int64(3), np.int64(1)).ok  # numpy integers are counts
+    report = run_verification(np.int64(3), np.int64(1))  # numpy integers are counts, kept as Python ints
+    assert report.ok and type(report.samples_per_model) is int and type(report.seed) is int
 
 
 @pytest.mark.parametrize("model", [XY, HEIS])
