@@ -34,13 +34,14 @@ import cmath
 from .core import (
     AmplitudeSet,
     DimensionlessPoint,
-    DomainError,
     ModelKind,
     NumericError,
     SiteCoefficients,
     UnsupportedModelError,
     _is_stack,
+    check_count,
     check_opacity,
+    check_rules,
     point_at,
     validate,
 )
@@ -98,18 +99,14 @@ def dressed_coefficients(pt: DimensionlessPoint):
     resums the excursions in which the mediator flips at one site, bounces
     off the partner in the aligned-spin state, and flips back.  Only the
     contact model has them; the exchange model is transparent to the
-    aligned-spin mediator (r_same = 0), so raising it is an error.
+    aligned-spin mediator (r_same = 0), so raising it is an error.  A result
+    that is not finite raises NumericError, as :func:`amplitudes` does.
     """
     pt = validate(pt)
     if pt.model is not ModelKind.HEISENBERG_CONTACT:
         raise UnsupportedModelError("dressed coefficients exist only for the contact model")
-    if _is_stack(pt):
-        import numpy as np
-
-        e2 = np.exp(2j * pt.phase)
-    else:
-        e2 = cmath.exp(2j * pt.phase)
-    return _dressed(_site_terms(pt.omega_a, pt.model), _site_terms(pt.omega_b, pt.model), e2)
+    return _finite(pt, lambda omega_a, omega_b, _ea, _em, e2, model:
+                   _dressed(_site_terms(omega_a, model), _site_terms(omega_b, model), e2))
 
 
 def _bounce_sum(x, q, terms):
@@ -163,27 +160,28 @@ def _closed_forms(omega_a, omega_b, ea, em, e2, model, bounces=None):
     return t_nf, r_nf, t_fb, r_fb, t_fa, r_fa
 
 
-def _at_point(pt: DimensionlessPoint, bounces=None) -> AmplitudeSet:
-    """:func:`_closed_forms` at a validated point with cmath phase factors,
-    or on a stack with numpy's (which may round the last digits otherwise).
-    Raises NumericError at the first cell where an amplitude is not finite."""
+def _finite(pt: DimensionlessPoint, form, *args):
+    """``form(omega_a, omega_b, E, 1/E, E^2, model, *args)`` at a validated
+    point with cmath phase factors, or on a stack with numpy's (which may
+    round the last digits otherwise).  Raises NumericError at the first cell
+    where a value is not finite."""
     phase = pt.phase
     if _is_stack(pt):
         import numpy as np
 
         with np.errstate(all="ignore"):
             factors = np.exp(1j * phase), np.exp(-1j * phase), np.exp(2j * phase)
-            amps = _closed_forms(pt.omega_a, pt.omega_b, *factors, pt.model, bounces)
-            bad = ~np.isfinite(sum(amps))
+            values = form(pt.omega_a, pt.omega_b, *factors, pt.model, *args)
+            bad = ~np.isfinite(sum(values))
         if not bad.any():
-            return AmplitudeSet(*amps)
+            return values
         pt = point_at(pt, int(np.argmax(bad)))
     else:
         try:
-            amps = _closed_forms(pt.omega_a, pt.omega_b, cmath.exp(1j * phase), cmath.exp(-1j * phase),
-                                 cmath.exp(2j * phase), pt.model, bounces)
-            if cmath.isfinite(sum(amps)):  # |amplitude| <= 1, so the sum is finite exactly when every term is
-                return AmplitudeSet(*amps)
+            values = form(pt.omega_a, pt.omega_b, cmath.exp(1j * phase), cmath.exp(-1j * phase),
+                          cmath.exp(2j * phase), pt.model, *args)
+            if cmath.isfinite(sum(values)):  # each value is O(1), so the sum is finite exactly when every value is
+                return values
         except ZeroDivisionError:  # a denominator rounded to exactly 0 (numpy gives inf there)
             pass
     raise NumericError(
@@ -201,7 +199,7 @@ def amplitudes(pt: DimensionlessPoint) -> AmplitudeSet:
     above about 1e8, and omega^2 overflows above about 1e154.  A result
     that is not finite raises NumericError with the point attached.
     """
-    return _at_point(validate(pt))
+    return AmplitudeSet(*_finite(validate(pt), _closed_forms))
 
 
 def truncated_amplitudes(pt: DimensionlessPoint, n: int) -> AmplitudeSet:
@@ -218,6 +216,7 @@ def truncated_amplitudes(pt: DimensionlessPoint, n: int) -> AmplitudeSet:
     pt = validate(pt)
     if pt.model is not ModelKind.SPIN_EXCHANGE:
         raise UnsupportedModelError("bounce truncation is defined for the exchange model only")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"bounce count must be a non-negative integer, got {n!r}")
-    return _at_point(pt, n)
+    requirement = "must be a non-negative integer"
+    n = check_count("bounce count", n, requirement)
+    check_rules(("bounce count", n, n >= 0, requirement))
+    return AmplitudeSet(*_finite(pt, _closed_forms, n))

@@ -231,13 +231,16 @@ def check_opacity(name: str, omega: float) -> None:
         check_rules((name, omega, False, _OPACITY))
 
 
-def check_count(name: str, value) -> int:
-    """``value`` as a Python int, or ValidationError unless it is an integer;
-    numpy integers count, as :func:`operator.index` takes them."""
+def check_count(name: str, value, requirement: str = "must be an integer") -> int:
+    """``value`` as a Python int, or ValidationError ("``name`` ``requirement``")
+    unless it is an integer; numpy integers count, as :func:`operator.index`
+    takes them, and bools do not."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        check_rules((name, value, False, "must be an integer"))
+        pass
+    check_rules((name, value, False, requirement))
 
 
 def validate(pt: DimensionlessPoint) -> DimensionlessPoint:

@@ -24,6 +24,7 @@ same dimensionless point the closed forms use.
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .core import AmplitudeSet, DimensionlessPoint, ModelKind, NumericError, point_at, validate
 
@@ -109,12 +110,12 @@ def build_matching_system(pt: DimensionlessPoint) -> tuple[np.ndarray, np.ndarra
 def solve_system(matrix: np.ndarray, rhs: np.ndarray, point: DimensionlessPoint) -> np.ndarray:
     """Solve M x = b, guarding against ill-conditioning and bad residuals.
 
-    The guard is the 1-norm condition number ||M||_1 ||M^-1||_1, with the
-    inverse from LAPACK's LU factorization.  It lies within a factor of 12
-    of the 2-norm one (cond_2/12 <= cond_1 <= 12 cond_2), so it measures the
-    same ill-conditioning without an SVD.  A system with cond_1 > 1e12 is
-    refused: float64 cannot be trusted to resolve it.  A singular or
-    non-finite matrix has cond_1 = inf and is refused too.
+    The guard is the 1-norm condition number ||M||_1 ||M^-1||_1, from one LU
+    factorization of M against [b | I] that gives both x and M^-1.  It lies
+    within 12x of the 2-norm one (cond_2/12 <= cond_1 <= 12 cond_2), so it
+    measures the same ill-conditioning without an SVD.  A system with
+    cond_1 > 1e12 is refused: float64 cannot be trusted to resolve it.  A
+    singular or non-finite matrix has cond_1 = inf and is refused too.
 
     A stack is solved at once, ``point`` being the stacked point it was built
     from; it raises the error that its first failing system, in row-major
@@ -122,20 +123,19 @@ def solve_system(matrix: np.ndarray, rhs: np.ndarray, point: DimensionlessPoint)
     shape = rhs.shape
     matrix = matrix.reshape(-1, 12, 12)
     rhs = rhs.reshape(-1, 12, 1)
-    cond = np.linalg.cond(matrix, 1)
-    well = cond <= 1e12  # false where cond is not finite too
-    n = len(well) if well.all() else int(np.argmin(well))  # the systems before the first ill-conditioned one
-    solution = np.linalg.solve(matrix[:n], rhs[:n])
-    residual = np.abs(matrix[:n] @ solution - rhs[:n]).max(axis=(1, 2))
-    bad = residual > 1e-10
+    with np.errstate(all="ignore"):  # as np.linalg.cond calls it: NaN, not LinAlgError, where M cannot be factored
+        both = _umath_linalg.solve(matrix, np.dstack((rhs, np.broadcast_to(np.eye(12), matrix.shape))), signature="DD->D")
+        cond = np.abs(matrix).sum(axis=1).max(axis=1) * np.abs(both[..., 1:]).sum(axis=1).max(axis=1)
+    cond[np.isnan(cond) & ~np.isnan(matrix).any(axis=(1, 2))] = np.inf  # np.linalg.cond's rule for NaN
+    n = int(np.argmin(np.append(cond <= 1e12, False)))  # the systems before the first refused one
+    residual = np.abs(matrix[:n] @ both[:n, :, :1] - rhs[:n]).max(axis=(1, 2))
+    bad = np.append(residual > 1e-10, n < len(cond))  # bad residuals, then the refusal: the first failing system
     if bad.any():
         i = int(np.argmax(bad))
         sample = point_at(point, i)
-        raise NumericError(f"matching solve residual {residual[i]:.3e} too large at {sample!r}", sample)
-    if n < len(well):
-        sample = point_at(point, n)
-        raise NumericError(f"matching matrix ill-conditioned (cond ~ {cond[n]:.3e}) at {sample!r}", sample)
-    return solution.reshape(shape)
+        what = f"solve residual {residual[i]:.3e} too large" if i < n else f"matrix ill-conditioned (cond ~ {cond[n]:.3e})"
+        raise NumericError(f"matching {what} at {sample!r}", sample)
+    return both[..., 0].reshape(shape)  # both is [x | M^-1]
 
 
 def solve_amplitudes_numeric(pt: DimensionlessPoint) -> AmplitudeSet:

@@ -1,6 +1,8 @@
 import cmath
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from entscat import (
     DimensionlessPoint,
     DomainError,
     ModelKind,
+    NumericError,
     UnsupportedModelError,
     amplitudes,
     dressed_coefficients,
@@ -113,6 +116,21 @@ class TestDressedCoefficients:
         with pytest.raises(UnsupportedModelError):
             dressed_coefficients(DimensionlessPoint(1.0, 1.0, 0.5, XY))
 
+    def test_overflowing_opacity_is_a_typed_error_as_in_amplitudes(self):
+        pt = DimensionlessPoint(1e160, 1.0, 0.5, HEIS)
+        with pytest.raises(NumericError) as closed:
+            amplitudes(pt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError) as alone:
+                dressed_coefficients(pt)
+            # on a stack, the first failing cell's own error, and no numpy warning
+            stack = DimensionlessPoint(np.array([0.3, 1e160, 2.0]), np.array([1.0, 1.0, 1e160]), 0.5, HEIS)
+            with pytest.raises(NumericError) as stacked:
+                dressed_coefficients(stack)
+        assert (str(alone.value), alone.value.point) == (str(closed.value), pt)
+        assert (str(stacked.value), stacked.value.point) == (str(alone.value), pt)
+
     def test_no_dressing_without_flip_amplitude(self):
         t_a, r_a, _, _, sigma_a, _ = dressed_coefficients(DimensionlessPoint(0.0, 2.0, 0.5, HEIS))
         assert sigma_a == 0.0
@@ -145,9 +163,13 @@ class TestTruncatedAmplitudes:
             truncated_amplitudes(DimensionlessPoint(1.0, 1.0, 0.5, HEIS), 3)
 
     def test_rejects_negative_order(self):
-        for n in (-1, None, True, 2.0):
+        for n in (-1, None, True, 2.0, np.int64(-1)):
             with pytest.raises(DomainError, match="bounce count must be a non-negative integer"):
                 truncated_amplitudes(DimensionlessPoint(1.0, 1.0, 0.5, XY), n)
+
+    def test_numpy_integer_order_equals_the_int_one(self):
+        pt = DimensionlessPoint(0.8, 1.3, 0.6, XY)
+        assert truncated_amplitudes(pt, np.int64(2)) == truncated_amplitudes(pt, 2)
 
     def test_zero_bounces_keeps_direct_paths_only(self):
         pt = DimensionlessPoint(0.8, 1.3, 0.6, XY)

@@ -190,6 +190,82 @@ def test_overflowing_opacity_is_a_typed_refusal_without_nan_or_warning(model):
         assert alone.value.point == point_at(stack, 2) and "cond ~ inf" in str(alone.value)
 
 
+def _two_call_solve(matrix, rhs, point):
+    """The guard and the solve as two LAPACK calls, np.linalg.cond(M, 1) then
+    np.linalg.solve, with the refusals of :func:`solve_system`: the reference
+    that its one stacked [b | I] solve must equal bit for bit."""
+    shape = rhs.shape
+    matrix = matrix.reshape(-1, 12, 12)
+    rhs = rhs.reshape(-1, 12, 1)
+    cond = np.linalg.cond(matrix, 1)
+    well = cond <= 1e12
+    n = len(well) if well.all() else int(np.argmin(well))
+    solution = np.linalg.solve(matrix[:n], rhs[:n])
+    residual = np.abs(matrix[:n] @ solution - rhs[:n]).max(axis=(1, 2))
+    bad = residual > 1e-10
+    if bad.any():
+        i = int(np.argmax(bad))
+        sample = point_at(point, i)
+        raise NumericError(f"matching solve residual {residual[i]:.3e} too large at {sample!r}", sample)
+    if n < len(well):
+        sample = point_at(point, n)
+        raise NumericError(f"matching matrix ill-conditioned (cond ~ {cond[n]:.3e}) at {sample!r}", sample)
+    return solution.reshape(shape)
+
+
+def _outcome(solve, matrix, rhs, point):
+    """The solution's bytes, or the (type, message, point) of the error raised;
+    a leaked RuntimeWarning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return solve(matrix, rhs, point).tobytes()
+        except NumericError as error:
+            return type(error), str(error), error.point
+
+
+@pytest.mark.parametrize("model", [XY, HEIS])
+@pytest.mark.parametrize("seed", [1, 42])
+def test_fused_solve_equals_cond_then_solve_bit_for_bit(model, seed):
+    stack = sample_points(model, 1503, seed)
+    matrix, rhs = build_matching_system(stack)
+    assert (np.linalg.cond(matrix, 1) <= 1e12).all()
+    assert _outcome(solve_system, matrix, rhs, stack) == _outcome(_two_call_solve, matrix, rhs, stack)
+    # every kappa_1 verdict, system by system, on opacities up to 1e300 where most are refused
+    wide = _wide_sample(model, 500, seed)
+    matrix, rhs = build_matching_system(wide)
+    verdicts = set()
+    for i in range(500):
+        sample = point_at(wide, i)
+        fused = _outcome(solve_system, matrix[i], rhs[i], sample)
+        assert fused == _outcome(_two_call_solve, matrix[i], rhs[i], sample), i
+        verdicts.add(type(fused))
+    assert verdicts == {bytes, tuple}  # both accepted and refused systems
+
+
+@pytest.mark.parametrize("model", [XY, HEIS])
+def test_fused_solve_raises_as_cond_then_solve(model):
+    stack = sample_points(model, 6, 5)
+    matrix, rhs = build_matching_system(stack)
+    singular = matrix.copy()
+    singular[3] = 0.0  # exactly singular mid-stack: LAPACK cannot factor it
+    fused = _outcome(solve_system, singular, rhs, stack)
+    assert fused == _outcome(_two_call_solve, singular, rhs, stack)
+    assert "cond ~ inf" in fused[1] and fused[2] == point_at(stack, 3)
+    omega_b = stack.omega_b.copy()
+    omega_b[2] = 1.7e308  # 2 omega overflows to inf in the matrix
+    overflowing = DimensionlessPoint(stack.omega_a, omega_b, stack.phase, model)
+    matrix, rhs = build_matching_system(overflowing)
+    fused = _outcome(solve_system, matrix, rhs, overflowing)
+    assert fused == _outcome(_two_call_solve, matrix, rhs, overflowing)
+    assert "cond ~ inf" in fused[1] and fused[2] == point_at(overflowing, 2)
+    # a matrix holding NaN keeps cond ~ nan, as np.linalg.cond gives it
+    singular[1, 0, 0] = math.nan
+    fused = _outcome(solve_system, singular, rhs, stack)
+    assert fused == _outcome(_two_call_solve, singular, rhs, stack)
+    assert "cond ~ nan" in fused[1] and fused[2] == point_at(stack, 1)
+
+
 def test_degenerate_zero_phase_still_solves():
     # folded phase 0 puts both sites at the same spot; the equations stay regular
     for model in (XY, HEIS):

@@ -37,7 +37,7 @@ class TestAxis:
     def test_count_below_two_rejected(self, tmp_path):
         with pytest.raises(DomainError):
             Axis("k", 0.0, 1.0, 1)
-        for count in (2.5, 3.0, "3", None):
+        for count in (2.5, 3.0, "3", None, True):
             with pytest.raises(DomainError, match=r"axis 'k' count must be an integer"):
                 Axis("k", 1.0, 2.0, count)
         ax = Axis("k", 1.0, 2.0, np.int64(3))  # numpy integers are counts, kept as Python ints
