@@ -15,10 +15,16 @@ and their derivatives jump by
     u'(x0+) - u'(x0-) = 2 k omega M u(x0)
 
 where M is the 3x3 channel-coupling matrix of that site's spin operator.
-That gives (continuity + jump) x 2 sites x 3 channels = 12 equations for
-the 12 unknowns (R, A+, A-, T) per channel, solved densely with partial
-pivoting.  Everything is evaluated at k = 1 and d = phase, which fixes the
-same dimensionless point the closed forms use.
+Continuity fixes R = A+ + A- - I at A and T = A+ E + A- / E at B, with
+E = exp(ikd); put into the jumps, they leave 2 sites x 3 channels = 6
+equations for the 6 unknowns (A+, A-) per channel:
+
+    at A:  2i A+ - 2 omega_a M_A (A+ + A-) = 2i I
+    at B:  2i A- / E - 2 omega_b M_B (A+ E + A- / E) = 0
+
+solved densely with partial pivoting; R and T follow from the solution.
+Everything is evaluated at k = 1 and d = phase, which fixes the same
+dimensionless point the closed forms use.
 """
 
 from __future__ import annotations
@@ -47,84 +53,68 @@ _COUPLINGS = {
 _INCIDENT = np.array([1.0, 0.0, 0.0])
 
 
-_CHANNELS = np.arange(3)
-# the column of each coefficient in every channel; unknown 4c + i is
-# coefficient i of channel c, in the order R, A+, A-, T
-_R, _AP, _AM, _T = (4 * _CHANNELS + i for i in range(4))
-# the AmplitudeSet fields in order: (T, R) of each channel in turn
-_OUTGOING = np.stack([_T, _R], axis=1).ravel()
+def _phase_factors(phase):
+    """E = exp(ikd) and 1/E = exp(-ikd) at k = 1, d = ``phase``, as arrays."""
+    phase = np.asarray(phase)
+    return np.exp(1j * phase), np.exp(-1j * phase)
 
 
 def build_matching_system(pt: DimensionlessPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble the continuity and derivative-jump equations at both sites,
-    as the dense 12x12 system M x = b: returns (M, b).
+    """Assemble the derivative-jump equations at both sites, with R and T
+    set by continuity, as the dense 6x6 system M x = b in x = (A+, A-), the
+    three channels of A+ and then those of A-: returns (M, b).  Each row of
+    [M | b] is scaled by the power of two 2^-e where max|row of M| = m 2^e,
+    m in [1/2, 1), which is exact short of underflow.
 
     On a stacked point, one system per cell, stacked over the leading axes:
-    M has shape (..., 12, 12) and b shape (..., 12)."""
+    M has shape (..., 6, 6) and b shape (..., 6)."""
     pt = validate(pt)
     m_a, m_b = _COUPLINGS[pt.model]
     omega_a, omega_b, phase = np.broadcast_arrays(pt.omega_a, pt.omega_b, pt.phase)
-    ea = np.exp(1j * phase)[..., None]  # k = 1, d = phase
-    em = np.exp(-1j * phase)[..., None]
-    c = _CHANNELS
-    # the jump's 2 omega M, per site [..., c, c']; an opacity past half the
-    # float64 maximum gives an infinite entry where M is nonzero, never inf * 0
+    ea, em = (e[..., None, None] for e in _phase_factors(phase))
+    omega_a, omega_b = omega_a[..., None, None], omega_b[..., None, None]
+    # the jump's 2 omega M per site.  2M holds only 0 and powers of two, so
+    # scaling omega E by it is exact; an opacity near the float64 maximum
+    # overflows an entry to infinity, but never to inf * 0 = NaN, as
+    # (2 omega M) E would where E = 1 + 0j
     with np.errstate(over="ignore"):
-        coupling_a = omega_a[..., None, None] * (2.0 * m_a)
-        coupling_b = omega_b[..., None, None] * (2.0 * m_b)
-    matrix = np.zeros(phase.shape + (12, 12), dtype=complex)
-    rhs = np.zeros(phase.shape + (12,), dtype=complex)
-
-    # continuity at A: I + R = A+ + A-
-    row = c
-    matrix[..., row, _R] = 1.0
-    matrix[..., row, _AP] = -1.0
-    matrix[..., row, _AM] = -1.0
-    rhs[..., row] = -_INCIDENT
-
-    # jump at A: i(A+ - A-) - i(I - R) = 2 omega_a sum_c' M_A[c,c'] (A+ + A-)_c'
-    row = 3 + c
-    matrix[..., row, _AP] = 1j
-    matrix[..., row, _AM] = -1j
-    matrix[..., row, _R] = 1j
-    matrix[..., row[:, None], _AP] -= coupling_a
-    matrix[..., row[:, None], _AM] -= coupling_a
-    rhs[..., row] = 1j * _INCIDENT
-
-    # continuity at B: A+ e^{ikd} + A- e^{-ikd} = T
-    row = 6 + c
-    matrix[..., row, _AP] = ea
-    matrix[..., row, _AM] = em
-    matrix[..., row, _T] = -1.0
-
-    # jump at B: iT - i(A+ e^{ikd} - A- e^{-ikd}) = 2 omega_b sum_c' M_B[c,c'] T_c'
-    row = 9 + c
-    matrix[..., row, _T] = 1j
-    matrix[..., row, _AP] = -1j * ea
-    matrix[..., row, _AM] = 1j * em
-    matrix[..., row[:, None], _T] -= coupling_b
-
-    return matrix, rhs
+        coupling_a = omega_a * (2.0 * m_a)
+        coupling_b_ea = (omega_b * ea) * (2.0 * m_b)
+        coupling_b_em = (omega_b * em) * (2.0 * m_b)
+    jump = 2j * np.eye(3)
+    system = np.zeros(phase.shape + (6, 7), dtype=complex)  # [M | b]
+    # at A: 2i A+ - 2 omega_a M_A (A+ + A-) = 2i I
+    system[..., :3, :3] = jump - coupling_a
+    system[..., :3, 3:6] = -coupling_a
+    system[..., :3, 6] = 2j * _INCIDENT
+    # at B: 2i A- / E - 2 omega_b M_B (A+ E + A- / E) = 0
+    system[..., 3:, :3] = -coupling_b_ea
+    system[..., 3:, 3:6] = jump * em - coupling_b_em
+    _, exponent = np.frexp(np.abs(system[..., :6]).max(axis=-1, keepdims=True))
+    system = np.ldexp(system.view(float), -exponent).view(complex)  # exact, and inf stays inf
+    return system[..., :6], system[..., 6]
 
 
 def solve_system(matrix: np.ndarray, rhs: np.ndarray, point: DimensionlessPoint) -> np.ndarray:
     """Solve M x = b, guarding against ill-conditioning and bad residuals.
 
     The guard is the 1-norm condition number ||M||_1 ||M^-1||_1, from one LU
-    factorization of M against [b | I] that gives both x and M^-1.  It lies
-    within 12x of the 2-norm one (cond_2/12 <= cond_1 <= 12 cond_2), so it
-    measures the same ill-conditioning without an SVD.  A system with
-    cond_1 > 1e12 is refused: float64 cannot be trusted to resolve it.  A
-    singular or non-finite matrix has cond_1 = inf and is refused too.
+    factorization of M against [b | I] that gives both x and M^-1.  For an
+    n x n system (n = 6 for the matching system) it lies within n times the
+    2-norm one (cond_2/n <= cond_1 <= n cond_2), so it measures the same
+    ill-conditioning without an SVD.  A system with cond_1 > 1e12 is
+    refused: float64 cannot be trusted to resolve it.  A singular or
+    non-finite matrix has cond_1 = inf and is refused too.
 
     A stack is solved at once, ``point`` being the stacked point it was built
     from; it raises the error that its first failing system, in row-major
     order, raises on its own, with that system's point attached."""
     shape = rhs.shape
-    matrix = matrix.reshape(-1, 12, 12)
-    rhs = rhs.reshape(-1, 12, 1)
+    size = matrix.shape[-1]
+    matrix = matrix.reshape(-1, size, size)
+    rhs = rhs.reshape(-1, size, 1)
     with np.errstate(all="ignore"):  # as np.linalg.cond calls it: NaN, not LinAlgError, where M cannot be factored
-        both = _umath_linalg.solve(matrix, np.dstack((rhs, np.broadcast_to(np.eye(12), matrix.shape))), signature="DD->D")
+        both = _umath_linalg.solve(matrix, np.dstack((rhs, np.broadcast_to(np.eye(size), matrix.shape))), signature="DD->D")
         cond = np.abs(matrix).sum(axis=1).max(axis=1) * np.abs(both[..., 1:]).sum(axis=1).max(axis=1)
     cond[np.isnan(cond) & ~np.isnan(matrix).any(axis=(1, 2))] = np.inf  # np.linalg.cond's rule for NaN
     n = int(np.argmin(np.append(cond <= 1e12, False)))  # the systems before the first refused one
@@ -139,12 +129,17 @@ def solve_system(matrix: np.ndarray, rhs: np.ndarray, point: DimensionlessPoint)
 
 
 def solve_amplitudes_numeric(pt: DimensionlessPoint) -> AmplitudeSet:
-    """Solve the matching system and extract the outgoing amplitudes.
+    """Solve the matching system for (A+, A-) and set the outgoing
+    amplitudes by continuity: T = A+ E + A- / E and R = A+ + A- - I.
 
     On a stacked point, one stacked solve whose fields are arrays of the
     stack's shape; at a single point the fields are Python complex numbers."""
     pt = validate(pt)
-    outgoing = solve_system(*build_matching_system(pt), pt)[..., _OUTGOING]
+    solution = solve_system(*build_matching_system(pt), pt)
+    a_plus, a_minus = solution[..., :3], solution[..., 3:]
+    ea, em = (e[..., None] for e in _phase_factors(pt.phase))
+    # the AmplitudeSet fields in order: (T, R) of each channel in turn
+    outgoing = np.stack([a_plus * ea + a_minus * em, a_plus + a_minus - _INCIDENT], axis=-1).reshape(solution.shape)
     if outgoing.ndim == 1:
         return AmplitudeSet(*outgoing.tolist())
     return AmplitudeSet(*np.moveaxis(outgoing, -1, 0))

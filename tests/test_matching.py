@@ -2,8 +2,10 @@ import cmath
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +20,9 @@ from entscat import (
     solve_amplitudes_numeric,
     solve_system,
 )
+from entscat.closedform import _closed_forms
 from entscat.core import point_at
+from entscat.matching import _COUPLINGS
 from entscat.verify import sample_points
 
 XY = ModelKind.SPIN_EXCHANGE
@@ -31,8 +35,42 @@ log_omegas = st.one_of(st.just(0.0), st.floats(-3.0, math.log(20.0)).map(math.ex
 
 def test_system_shape_and_labels():
     matrix, rhs = build_matching_system(DimensionlessPoint(1.0, 1.0, 1.3, HEIS))
-    assert matrix.shape == (12, 12)
-    assert rhs.shape == (12,)
+    size = rhs.shape[-1]
+    assert matrix.shape == (size, size)
+    assert size == 6  # the unknowns (A+, A-) of three channels
+
+
+@pytest.mark.parametrize("model", [XY, HEIS])
+def test_continuity_and_jumps_reduce_exactly_to_the_rows_built(model):
+    omega_a, omega_b, e = sp.symbols("omega_a omega_b E")
+    a_plus, a_minus = sp.Matrix(sp.symbols("Ap0:3")), sp.Matrix(sp.symbols("Am0:3"))
+    incident = sp.Matrix([1, 0, 0])
+    m_a, m_b = (sp.Matrix(m.astype(int)) for m in _COUPLINGS[model])
+    r = a_plus + a_minus - incident
+    t = a_plus * e + a_minus / e
+    # the twelve equations of the matching docstring, each as lhs - rhs, at k = 1
+    continuity = [incident + r - (a_plus + a_minus), a_plus * e + a_minus / e - t]
+    jumps = [
+        sp.I * (a_plus - a_minus) - sp.I * (incident - r) - 2 * omega_a * m_a * (a_plus + a_minus),
+        sp.I * t - sp.I * (a_plus * e - a_minus / e) - 2 * omega_b * m_b * t,
+    ]
+    # the six rows M x - b that build_matching_system writes, before its scaling
+    rows = [
+        2 * sp.I * a_plus - 2 * omega_a * m_a * (a_plus + a_minus) - 2 * sp.I * incident,
+        2 * sp.I * a_minus / e - 2 * omega_b * m_b * (a_plus * e + a_minus / e),
+    ]
+    assert all(sp.expand(x) == 0 for equation in continuity for x in equation)
+    assert all(sp.expand(x - y) == 0 for equation, row in zip(jumps, rows) for x, y in zip(equation, row))
+    # and the builder writes those rows, each scaled by 2^-e where max|row| = m 2^e
+    coefficients, constants = sp.linear_eq_to_matrix(list(rows[0]) + list(rows[1]), list(a_plus) + list(a_minus))
+    for point in (DimensionlessPoint(1.0, 1.0, 1.3, model), DimensionlessPoint(0.3, 7.0, 2.9, model),
+                  DimensionlessPoint(1e5, 1e-3, 0.2, model), DimensionlessPoint(0.0, 2.0, 0.0, model)):
+        at = {omega_a: point.omega_a, omega_b: point.omega_b, e: cmath.exp(1j * point.phase)}
+        want = np.array(coefficients.subs(at), dtype=complex), np.array(constants.subs(at), dtype=complex)[:, 0]
+        _, exponent = np.frexp(np.abs(want[0]).max(axis=1))
+        matrix, rhs = build_matching_system(point)
+        assert np.abs(matrix - np.ldexp(1.0, -exponent)[:, None] * want[0]).max() < 4e-16
+        assert np.abs(rhs - np.ldexp(1.0, -exponent) * want[1]).max() == 0.0
 
 
 def test_free_particle_solution():
@@ -74,7 +112,8 @@ def test_stacked_systems_equal_the_per_point_ones_bit_for_bit(model):
     stack = sample_points(model, 300, 11)
     matrix, rhs = build_matching_system(stack)
     solution = solve_system(matrix, rhs, stack)
-    assert matrix.shape == (300, 12, 12) and rhs.shape == (300, 12)
+    size = rhs.shape[-1]
+    assert matrix.shape == (300, size, size) and rhs.shape == (300, size)
     for i in range(300):
         pt = point_at(stack, i)
         one_matrix, one_rhs = build_matching_system(pt)
@@ -140,6 +179,64 @@ def test_guard_refuses_every_system_the_2_norm_condition_number_refuses(model):
         assert _raised(matrix[i], rhs[i], sample)[2] == sample
 
 
+def _twelve_equation_system(pt):
+    """The continuity and jump equations at both sites as the dense 12x12
+    system in (R, A+, A-, T) of each channel, unscaled: the reference for
+    the reduced system that :func:`build_matching_system` writes."""
+    m_a, m_b = _COUPLINGS[pt.model]
+    omega_a, omega_b, phase = np.broadcast_arrays(pt.omega_a, pt.omega_b, pt.phase)
+    ea, em = np.exp(1j * phase)[..., None], np.exp(-1j * phase)[..., None]
+    coupling_a = omega_a[..., None, None] * (2.0 * m_a)
+    coupling_b = omega_b[..., None, None] * (2.0 * m_b)
+    r, a_plus, a_minus, t = (4 * np.arange(3) + i for i in range(4))
+    row = np.arange(3)
+    matrix = np.zeros(phase.shape + (12, 12), dtype=complex)
+    rhs = np.zeros(phase.shape + (12,), dtype=complex)
+    matrix[..., row, r], matrix[..., row, a_plus], matrix[..., row, a_minus] = 1.0, -1.0, -1.0
+    rhs[..., row] = -1.0 * (row == 0)  # continuity at A: I + R = A+ + A-
+    row = row + 3  # jump at A: i(A+ - A-) - i(I - R) = 2 omega_a M_A (A+ + A-)
+    matrix[..., row, a_plus], matrix[..., row, a_minus], matrix[..., row, r] = 1j, -1j, 1j
+    matrix[..., row[:, None], a_plus] -= coupling_a
+    matrix[..., row[:, None], a_minus] -= coupling_a
+    rhs[..., row] = 1j * (row == 3)
+    row = row + 3  # continuity at B: A+ E + A- / E = T
+    matrix[..., row, a_plus], matrix[..., row, a_minus], matrix[..., row, t] = ea, em, -1.0
+    row = row + 3  # jump at B: iT - i(A+ E - A- / E) = 2 omega_b M_B T
+    matrix[..., row, t], matrix[..., row, a_plus], matrix[..., row, a_minus] = 1j, -1j * ea, 1j * em
+    matrix[..., row[:, None], t] -= coupling_b
+    return matrix, rhs
+
+
+def _accepted(build, stack):
+    """Per sample of ``stack``, whether :func:`solve_system` accepts the
+    system that ``build`` writes for it."""
+    matrix, rhs = build(stack)
+    verdicts = []
+    for i in range(len(stack.phase)):
+        try:
+            solve_system(matrix[i], rhs[i], point_at(stack, i))
+            verdicts.append(True)
+        except NumericError:
+            verdicts.append(False)
+    return np.array(verdicts)
+
+
+@pytest.mark.parametrize("model", [XY, HEIS])
+def test_reduced_system_accepts_every_wide_sample_the_twelve_equations_accept(model):
+    stack = _wide_sample(model, 1500, 3)
+    accepted = _accepted(build_matching_system, stack)
+    reference = _accepted(_twelve_equation_system, stack)
+    assert reference.any() and not (reference & ~accepted).any()
+    # the accepted amplitudes against the closed forms in 60-digit arithmetic
+    chosen = np.flatnonzero(accepted)[::3]
+    numeric = solve_amplitudes_numeric(DimensionlessPoint(stack.omega_a[chosen], stack.omega_b[chosen], stack.phase[chosen], model))
+    with mpmath.workdps(60):
+        for j, i in enumerate(chosen):
+            e = mpmath.expj(stack.phase[i])
+            exact = _closed_forms(mpmath.mpf(stack.omega_a[i]), mpmath.mpf(stack.omega_b[i]), e, 1 / e, e * e, model)
+            assert max(abs(want - z[j]) for want, z in zip(exact, numeric)) <= 1e-14, point_at(stack, i)
+
+
 def _samples_from(stack, start):
     """The stacked point of samples start, start + 1, ... of ``stack``."""
     return DimensionlessPoint(stack.omega_a[start:], stack.omega_b[start:], stack.phase[start:], stack.model)
@@ -168,10 +265,11 @@ def test_stacked_verdicts_equal_the_one_point_verdicts(model):
 
 
 @pytest.mark.parametrize("model", [XY, HEIS])
-def test_overflowing_opacity_is_a_typed_refusal_without_nan_or_warning(model):
+@pytest.mark.parametrize("phase", [0.5, 0.0, math.pi / 2])  # at 0, inf * (1 + 0j) would give NaN
+def test_overflowing_opacity_is_a_typed_refusal_without_nan_or_warning(model, phase):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for point in (DimensionlessPoint(1e308, 1.0, 0.5, model), DimensionlessPoint(1.0, 1.7e308, 0.5, model)):
+        for point in (DimensionlessPoint(1e308, 1.0, phase, model), DimensionlessPoint(1.0, 1.7e308, phase, model)):
             matrix, _ = build_matching_system(point)
             assert not np.isnan(matrix).any()
             with pytest.raises(NumericError, match=r"cond ~ inf") as info:
@@ -179,9 +277,10 @@ def test_overflowing_opacity_is_a_typed_refusal_without_nan_or_warning(model):
             assert info.value.point == point
         # in a stack the error is the one the overflowing sample raises alone
         stack = sample_points(model, 4, 5)
-        omega_b = stack.omega_b.copy()
-        omega_b[2] = 1.7e308
-        stack = DimensionlessPoint(stack.omega_a, omega_b, stack.phase, model)
+        omega_b, phases = stack.omega_b.copy(), stack.phase.copy()
+        omega_b[2], phases[2] = 1.7e308, phase
+        stack = DimensionlessPoint(stack.omega_a, omega_b, phases, model)
+        assert not np.isnan(build_matching_system(stack)[0]).any()
         with pytest.raises(NumericError) as alone:
             solve_amplitudes_numeric(point_at(stack, 2))
         with pytest.raises(NumericError) as stacked:
@@ -195,8 +294,9 @@ def _two_call_solve(matrix, rhs, point):
     np.linalg.solve, with the refusals of :func:`solve_system`: the reference
     that its one stacked [b | I] solve must equal bit for bit."""
     shape = rhs.shape
-    matrix = matrix.reshape(-1, 12, 12)
-    rhs = rhs.reshape(-1, 12, 1)
+    size = shape[-1]
+    matrix = matrix.reshape(-1, size, size)
+    rhs = rhs.reshape(-1, size, 1)
     cond = np.linalg.cond(matrix, 1)
     well = cond <= 1e12
     n = len(well) if well.all() else int(np.argmin(well))
@@ -290,7 +390,7 @@ def test_numeric_unitarity(omega_a, omega_b, phase, model):
     pt = DimensionlessPoint(omega_a, omega_b, phase, model)
     amp = solve_amplitudes_numeric(pt)
     assert abs(amp.flux() - 1.0) < 1e-10
-    # rows 0-2 and 6-8 are the wave functions' continuity at A and at B
+    # the jump rows, with continuity built into R and T
     matrix, rhs = build_matching_system(pt)
     residual = matrix @ solve_system(matrix, rhs, pt) - rhs
     assert np.abs(residual).max() <= 1e-10
