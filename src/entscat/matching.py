@@ -17,7 +17,7 @@ and their derivatives jump by
 where M is the 3x3 channel-coupling matrix of that site's spin operator.
 Continuity fixes R = A+ + A- - I at A and T = A+ E + A- / E at B, with
 E = exp(ikd); put into the jumps, they leave 2 sites x 3 channels = 6
-equations for the 6 unknowns (A+, A-) per channel:
+equations for the 6 unknowns, the (A+, A-) of each channel:
 
     at A:  2i A+ - 2 omega_a M_A (A+ + A-) = 2i I
     at B:  2i A- / E - 2 omega_b M_B (A+ E + A- / E) = 0
@@ -91,7 +91,7 @@ def build_matching_system(pt: DimensionlessPoint) -> tuple[np.ndarray, np.ndarra
     system[..., 3:, :3] = -coupling_b_ea
     system[..., 3:, 3:6] = jump * em - coupling_b_em
     _, exponent = np.frexp(np.abs(system[..., :6]).max(axis=-1, keepdims=True))
-    system = np.ldexp(system.view(float), -exponent).view(complex)  # exact, and inf stays inf
+    system = np.ldexp(system.view(float), -exponent).view(complex)  # ldexp has no complex loop
     return system[..., :6], system[..., 6]
 
 
