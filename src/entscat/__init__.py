@@ -42,8 +42,6 @@ from .optimize import (
     find_global_p_opt,
     optimal_concurrence,
     probability_at_resonance,
-    reference_optimum_omega_b,
-    resonance_curve_probability,
     unit_concurrence_phase,
 )
 
@@ -98,8 +96,6 @@ __all__ = [
     "observables_at",
     "optimal_concurrence",
     "probability_at_resonance",
-    "reference_optimum_omega_b",
-    "resonance_curve_probability",
     "run_scan",
     "run_truncation",
     "run_verification",

@@ -10,8 +10,8 @@ exactly when omega_b/(1 + 2 omega_b^2) <= omega_a <= omega_b.  Left of
 that region the best phase is the resonance sin^2(kd) = 1; right of it,
 sin^2(kd) = 0.  The detection probability is always maximal at resonance,
 and along the unit-concurrence resonance curve
-omega_a = omega_b/(1 + 2 omega_b^2) it has a single interior maximum that
-:func:`find_global_p_opt` locates by golden-section search.
+omega_a = omega_b/(1 + 2 omega_b^2) it has a single interior maximum, at
+the algebraic root that :func:`find_global_p_opt` returns.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .core import NumericError, check_opacity
 from .observables import concurrence, model1_probability, model1_ratio
@@ -126,70 +126,18 @@ def optimal_concurrence(omega_a: float, omega_b: float) -> OptimalityReport:
     return OptimalityReport(omega_a, omega_b, s, c, p, regime, unit.reason)
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-P_OPT_BRACKET = (0.1, 10.0)  # omega_b range searched by find_global_p_opt
-_P_OPT_TOL = 1e-10
-
-
-def golden_section_maximize(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10
-) -> float:
-    """Golden-section search for the maximizer of a unimodal f on [lo, hi].
-
-    One new function evaluation per iteration; returns the midpoint of the
-    final bracket once its width drops below ``tol``.
-    """
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 > f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = f(x2)
-    return 0.5 * (lo + hi)
-
-
-def _parabolic_refine(f: Callable[[float], float], x: float, steps=(1e-3, 1e-4, 1e-5)) -> float:
-    # Quadratic-vertex polish: comparison-based search stalls at the
-    # function-value noise floor (~1e-8 in position here); fitting the
-    # local parabola over well-separated points recovers ~1e-10.
-    for h in steps:
-        fl, fc, fr = f(x - h), f(x), f(x + h)
-        curvature = fl - 2.0 * fc + fr
-        if curvature < 0.0:
-            x += 0.5 * h * (fl - fr) / curvature
-    return x
-
-
-def resonance_curve_probability(omega_b: float) -> float:
-    """Resonant probability on the unit-concurrence curve
-    omega_a = omega_b/(1 + 2 omega_b^2)."""
-    return probability_at_resonance(omega_b / (1.0 + 2.0 * omega_b * omega_b), omega_b)
-
-
-def reference_optimum_omega_b() -> float:
-    """Algebraic root of the on-curve probability's stationarity condition,
-    used as an independent cross-check of the search:
-
-        omega_b = sqrt((1 + cbrt(37 - 3 sqrt(114)) + cbrt(37 + 3 sqrt(114))) / 6)
-    """
-    s = 3.0 * math.sqrt(114.0)
-    return math.sqrt((1.0 + (37.0 - s) ** (1.0 / 3.0) + (37.0 + s) ** (1.0 / 3.0)) / 6.0)
-
-
 def find_global_p_opt():
     """Maximize the detection probability subject to unit concurrence.
 
-    Searches the resonance curve with golden section on the compact
-    P_OPT_BRACKET (whose endpoints slope inward, so the maximum is
-    interior), then polishes the vertex.  Returns (omega_a, omega_b, p).
+    The maximum lies on the resonance curve omega_a = omega_b/(1 + 2 omega_b^2),
+    where dP/d omega_b vanishes for omega_b > 0 only at the one positive root
+    of 4x^3 - 2x^2 - 2x - 1 in x = omega_b^2:
+
+        omega_b = sqrt((1 + cbrt(37 - 3 sqrt(114)) + cbrt(37 + 3 sqrt(114))) / 6)
+
+    Returns (omega_a, omega_b, p).
     """
-    omega_b = golden_section_maximize(resonance_curve_probability, *P_OPT_BRACKET, _P_OPT_TOL)
-    omega_b = _parabolic_refine(resonance_curve_probability, omega_b)
+    surd = 3.0 * math.sqrt(114.0)
+    omega_b = math.sqrt((1.0 + (37.0 - surd) ** (1.0 / 3.0) + (37.0 + surd) ** (1.0 / 3.0)) / 6.0)
     omega_a = omega_b / (1.0 + 2.0 * omega_b * omega_b)
     return omega_a, omega_b, probability_at_resonance(omega_a, omega_b)

@@ -21,8 +21,6 @@ from entscat import (
     optimal_concurrence,
     find_global_p_opt,
     probability_at_resonance,
-    reference_optimum_omega_b,
-    resonance_curve_probability,
     run_scan,
     site_coefficients,
     solve_amplitudes_numeric,
@@ -30,6 +28,7 @@ from entscat import (
     unit_concurrence_phase,
 )
 from entscat.sweep import Axis
+from test_optimize import searched_p_opt
 
 XY = ModelKind.SPIN_EXCHANGE
 HEIS = ModelKind.HEISENBERG_CONTACT
@@ -102,9 +101,7 @@ def test_criterion_03_global_optimum_reproduction():
     start = time.perf_counter()
     omega_a, omega_b, p = find_global_p_opt()
     elapsed = time.perf_counter() - start
-    reference_b = reference_optimum_omega_b()
-    reference_a = reference_b / (1.0 + 2.0 * reference_b**2)
-    reference_p = resonance_curve_probability(reference_b)
+    reference_a, reference_b, reference_p = searched_p_opt()  # the numerical search
     dev_b = abs(omega_b - reference_b)
     dev_a = abs(omega_a - reference_a)
     dev_p = abs(p - reference_p)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,17 +24,67 @@ from entscat import (
     observables_at,
     optimal_concurrence,
     probability_at_resonance,
-    reference_optimum_omega_b,
-    resonance_curve_probability,
     unit_concurrence_phase,
 )
-from entscat.optimize import P_OPT_BRACKET, golden_section_maximize
+from entscat.closedform import _closed_forms
 
 XY = ModelKind.SPIN_EXCHANGE
 
 
 def curve_lower(omega_b):
     return omega_b / (1.0 + 2.0 * omega_b**2)
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+P_OPT_BRACKET = (0.1, 10.0)  # omega_b range of the reference search
+
+
+def golden_section_maximize(f, lo, hi, tol=1e-10):
+    """Golden-section search for the maximizer of a unimodal f on [lo, hi].
+
+    One new function evaluation per iteration; returns the midpoint of the
+    final bracket once its width drops below ``tol``.
+    """
+    x1 = hi - _INVPHI * (hi - lo)
+    x2 = lo + _INVPHI * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > tol:
+        if f1 > f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INVPHI * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INVPHI * (hi - lo)
+            f2 = f(x2)
+    return 0.5 * (lo + hi)
+
+
+def _parabolic_refine(f, x, steps=(1e-3, 1e-4, 1e-5)):
+    # Quadratic-vertex polish: comparison-based search stalls at the
+    # function-value noise floor (~1e-8 in position here); fitting the
+    # local parabola over well-separated points recovers ~1e-10.
+    for h in steps:
+        fl, fc, fr = f(x - h), f(x), f(x + h)
+        curvature = fl - 2.0 * fc + fr
+        if curvature < 0.0:
+            x += 0.5 * h * (fl - fr) / curvature
+    return x
+
+
+def resonance_curve_probability(omega_b):
+    """Resonant probability on the unit-concurrence curve
+    omega_a = omega_b/(1 + 2 omega_b^2)."""
+    return probability_at_resonance(curve_lower(omega_b), omega_b)
+
+
+def searched_p_opt():
+    """(omega_a, omega_b, p) at the maximum of P along the resonance curve,
+    found numerically by golden section on P_OPT_BRACKET and a parabolic
+    polish: the reference for the algebraic root of :func:`find_global_p_opt`."""
+    omega_b = golden_section_maximize(resonance_curve_probability, *P_OPT_BRACKET)
+    omega_b = _parabolic_refine(resonance_curve_probability, omega_b)
+    return curve_lower(omega_b), omega_b, resonance_curve_probability(omega_b)
 
 
 # where the region's two former rules disagreed: the solved phase lands within
@@ -294,14 +345,16 @@ class TestGoldenSection:
 
 class TestGlobalOptimum:
     def test_matches_the_algebraic_root(self):
+        # the root against the numerical search it replaced
         start = time.perf_counter()
         omega_a, omega_b, p = find_global_p_opt()
         elapsed = time.perf_counter() - start
-        reference = reference_optimum_omega_b()
+        searched_a, searched_b, searched_p = searched_p_opt()
         assert elapsed < 1.0
-        assert omega_b == pytest.approx(reference, abs=1e-8)
+        assert omega_b == pytest.approx(searched_b, abs=1e-8)
+        assert omega_a == pytest.approx(searched_a, abs=1e-8)
         assert omega_a == pytest.approx(curve_lower(omega_b), rel=1e-14)
-        assert p == pytest.approx(resonance_curve_probability(reference), abs=1e-8)
+        assert p == pytest.approx(searched_p, abs=1e-8)
         # headline digits
         assert omega_b == pytest.approx(1.0652536885834148, abs=1e-8)
         assert omega_a == pytest.approx(0.3258123994038707, abs=1e-8)
@@ -323,6 +376,13 @@ class TestGlobalOptimum:
         result = unit_concurrence_phase(omega_a, omega_b)
         assert result.sin2_kd == pytest.approx(1.0, rel=1e-10)
 
+    def test_root_is_within_an_ulp_of_the_50_digit_root(self):
+        _, omega_b, p = find_global_p_opt()
+        with mpmath.workdps(50):
+            exact = mpmath.sqrt(mpmath.findroot(lambda x: 4 * x**3 - 2 * x**2 - 2 * x - 1, 1.1))
+            assert abs(omega_b - exact) <= math.ulp(omega_b)
+        assert p == 0.3684589675583181
+
     def test_curve_carries_the_region_maximum(self):
         # the best unit-concurrence probability anywhere in the feasible
         # region is attained on the resonance boundary curve
@@ -334,3 +394,49 @@ class TestGlobalOptimum:
             omega_a = rng.uniform(lower, omega_b)
             report = optimal_concurrence(omega_a, omega_b)
             assert report.probability <= p_opt + 1e-12
+
+
+class TestExactProofs:
+    """Symbolic proofs, in exact rational arithmetic, of the formulas the
+    optimizer stands on."""
+
+    def test_the_root_is_the_unique_stationary_point_on_the_curve(self):
+        omega, x = sp.symbols("omega x", positive=True)
+        p_on_curve = sp.cancel(model1_probability(omega / (1 + 2 * omega**2), omega, 1))
+        slope = -4 * omega * (2 * omega**2 + 1) * (4 * omega**6 - 2 * omega**4 - 2 * omega**2 - 1)
+        slope /= (2 * omega**4 + 4 * omega**2 + 1) ** 3
+        assert sp.cancel(sp.diff(p_on_curve, omega) - slope) == 0
+        # every other factor keeps one sign for omega > 0, so dP/d omega
+        # vanishes only where the cubic in x = omega^2 does, and it has one
+        # real root, which is positive
+        cubic = 4 * x**3 - 2 * x**2 - 2 * x - 1
+        (root,) = sp.real_roots(cubic)
+        assert root.is_positive
+        # omega_b^2 of find_global_p_opt is real, so it is that root
+        surd = 3 * sp.sqrt(114)
+        assert sp.minimal_polynomial((1 + sp.cbrt(37 - surd) + sp.cbrt(37 + surd)) / 6, x) == cubic
+
+    def test_exchange_scalar_forms_follow_from_the_amplitudes(self):
+        # E = (1 + iu)/(1 - iu) is e^{ip} exactly, with u = tan(p/2) real,
+        # so sin^2 p = 4u^2/(1 + u^2)^2; |z|^2 is z times z with I -> -I
+        omega_a, omega_b, u = sp.symbols("omega_a omega_b u", real=True)
+        e = (1 + sp.I * u) / (1 - sp.I * u)
+        _, _, t_flipb, _, t_flipa, _ = (
+            sp.cancel(sp.nsimplify(z, rational=True)) for z in _closed_forms(omega_a, omega_b, e, 1 / e, e * e, XY)
+        )
+        flipb, flipa = (sp.cancel(sp.expand(z * z.subs(sp.I, -sp.I))) for z in (t_flipb, t_flipa))
+        s = 4 * u**2 / (1 + u**2) ** 2
+
+        def ratio_squared(sin2_kd):
+            return (omega_a / omega_b) ** 2 * (1 + 4 * omega_b**2 * (1 + omega_b**2) * sin2_kd)
+
+        assert sp.cancel(flipb + flipa - model1_probability(omega_a, omega_b, s)) == 0
+        assert sp.cancel(flipa - ratio_squared(s) * flipb) == 0
+        # unit_concurrence_phase's solved phase makes the ratio 1, and it
+        # reaches s = 1 exactly on the resonance curve
+        unit_phase = (omega_b**2 - omega_a**2) / (4 * omega_a**2 * omega_b**2 * (1 + omega_b**2))
+        assert float(unit_phase.subs({omega_a: 0.5, omega_b: 0.75})) == pytest.approx(
+            unit_concurrence_phase(0.5, 0.75).sin2_kd, rel=1e-15
+        )
+        assert sp.cancel(ratio_squared(unit_phase) - 1) == 0
+        assert sp.cancel(unit_phase.subs(omega_a, omega_b / (1 + 2 * omega_b**2)) - 1) == 0

@@ -231,14 +231,15 @@ class TestCli:
         header = out.read_text("utf-8").split("\n")[1]
         assert header.endswith("C_exact,P_exact")
 
-    def test_optimize_popt_prints_cross_check(self, capsys):
+    def test_optimize_popt_prints_the_optimum(self, capsys):
         assert run_cli("optimize", "popt") == 0
-        out = capsys.readouterr().out
-        assert "omega_b: 1.0652536" in out
-        assert "omega_a: 0.3258123" in out
-        assert "probability: 0.36845896" in out
-        delta = float([ln for ln in out.splitlines() if "algebraic root|" in ln][0].split(": ")[1])
-        assert delta < 1e-8
+        assert capsys.readouterr().out.splitlines() == [
+            "omega_a: 0.3258123994038707",
+            "omega_b: 1.065253688583415",
+            "sin2_kd: 1.0",
+            "concurrence: 1.0",
+            "probability: 0.3684589675583181",
+        ]
 
     def test_optimize_report_classifies(self, capsys):
         assert run_cli("optimize", "report", "--omegaA", "1", "--omegaB", "1") == 0
@@ -278,6 +279,8 @@ class TestCliUsageErrors:
             ["truncate", "--model", "heis", "--gA", "1", "--gB", "1", "--axis", "k=1:2:5", "--n", "0"],
             ["truncate", "--model", "xy", "--gA", "1", "--gB", "1", "--axis", "k=1:2:5", "--n", "0,-2"],
             ["optimize", "report"],  # missing omegas
+            ["optimize", "popt", "--omegaA", "1"],  # popt reads no omegas
+            ["optimize", "popt", "--omegaB", "1"],
             ["verify", "--samples", "0"],
             ["verify", "--seed", "-1", "--samples", "1"],  # a negative seed
             ["bogus-command"],
