@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,12 @@ class SweepGrid:
     columns: tuple[str, ...]
     rows: tuple[tuple[float | None, ...], ...]
     meta: dict[str, str]
+
+    def __post_init__(self):
+        if len(self.rows) != (cells := math.prod(ax.count for ax in self.axes)):
+            raise DomainError(f"grid has {len(self.rows)} rows, its axes make {cells}")
+        if set(map(len, self.rows)) - {len(self.columns)}:
+            raise DomainError(f"every grid row needs {len(self.columns)} cells, one per column")
 
 
 def _check_request(axes: tuple[Axis, ...], fixed: dict[str, float], item: str, requested) -> None:
@@ -177,24 +184,28 @@ def run_truncation(
     return make_grid("truncate", model, (axis,), fixed, columns, rows, bounce_orders=orders)
 
 
-_WRITE_BLOCK = 4096  # lines joined per write, bounding the text held at once
+_WRITE_BLOCK = 2048  # rows formatted and written at once; their text is all held until written
 
 
-def _blocks(lines, sep: str = ""):
-    """``lines`` joined by ``sep``, in strings of up to _WRITE_BLOCK lines."""
-    lines = iter(lines)
-    lead = ""
-    while block := list(itertools.islice(lines, _WRITE_BLOCK)):
-        yield lead + sep.join(block)
-        lead = sep
-
-
-def _csv_cell(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
-
-
-def _json_cell(value: float | None) -> str:
-    return "null" if value is None or not math.isfinite(value) else repr(float(value))
+def _text_blocks(rows, as_json: bool):
+    """Each block of up to _WRITE_BLOCK rows as (row count, its columns as
+    text): ``repr(float(v))``, and None as "" (CSV) or "null" (JSON, which
+    writes inf and NaN so too).  A column with the float64 bits of an earlier
+    one in its block reuses that one's text."""
+    null = "null" if as_json else ""
+    for start in range(0, len(rows), _WRITE_BLOCK):
+        block, done, columns = rows[start : start + _WRITE_BLOCK], {}, []
+        for col in zip(*block):
+            try:
+                key = array("d", col).tobytes()
+            except TypeError:  # a None cell: formatted cell by cell, never reused
+                key = object()
+            if key not in done:
+                plain = isinstance(key, bytes) and (not as_json or all(map(math.isfinite, col)))
+                done[key] = list(map(repr, map(float, col))) if plain else [
+                    null if v is None or as_json and not math.isfinite(v) else repr(float(v)) for v in col]
+            columns.append(done[key])
+        yield len(block), columns
 
 
 def write_csv(grid: SweepGrid, path) -> None:
@@ -202,10 +213,11 @@ def write_csv(grid: SweepGrid, path) -> None:
     header = ",".join([ax.name for ax in grid.axes] + list(grid.columns))
     # row-major coordinates, each axis value formatted once
     coords = itertools.product(*([repr(float(v)) for v in ax.values()] for ax in grid.axes))
-    lines = (",".join(itertools.chain(xy, map(_csv_cell, row))) + "\n" for xy, row in zip(coords, grid.rows))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(meta_line + "\n" + header + "\n")
-        fh.writelines(_blocks(lines))
+        for count, columns in _text_blocks(grid.rows, as_json=False):
+            lines = zip(*zip(*itertools.islice(coords, count)), *columns)
+            fh.write("\n".join(map(",".join, lines)) + "\n")
 
 
 def write_json(grid: SweepGrid, path) -> None:
@@ -223,16 +235,14 @@ def write_json(grid: SweepGrid, path) -> None:
     }
     # "rows" sorts last, so the encoded document ends with its empty list
     head = json.dumps(document, indent=1, sort_keys=True, allow_nan=False).removesuffix("[]\n}")
-    rows = (
-        "  [\n   " + ",\n   ".join(map(_json_cell, row)) + "\n  ]" if row else "  []" for row in grid.rows
-    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if grid.rows:
-            fh.write(head + "[\n")
-            fh.writelines(_blocks(rows, ",\n"))
-            fh.write("\n ]\n}\n")
-        else:
-            fh.write(head + "[]\n}\n")
+        fh.write(head + "[\n")
+        lead = ""
+        for count, columns in _text_blocks(grid.rows, as_json=True):
+            rows = "\n  ],\n  [\n   ".join(map(",\n   ".join, zip(*columns)))
+            fh.write(lead + (f"  [\n   {rows}\n  ]" if columns else ",\n".join(["  []"] * count)))
+            lead = ",\n"
+        fh.write("\n ]\n}\n")
 
 
 def write_grid(grid: SweepGrid, path, fmt: str) -> None:

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from entscat import (
     site_coefficients,
     truncated_amplitudes,
 )
+from entscat.closedform import _bounce_sum
 from entscat.verify import dressing_series_deviation
 
 XY = ModelKind.SPIN_EXCHANGE
@@ -166,6 +168,14 @@ class TestTruncatedAmplitudes:
         for n in (-1, None, True, 2.0, np.int64(-1)):
             with pytest.raises(DomainError, match="bounce count must be a non-negative integer"):
                 truncated_amplitudes(DimensionlessPoint(1.0, 1.0, 0.5, XY), n)
+
+    def test_bounce_sum_is_the_exact_geometric_partial_sum(self):
+        # exact rational arithmetic: the float literals become rationals
+        x, q = sp.symbols("x q")
+        for n in range(6):
+            total = sp.nsimplify(_bounce_sum(x, q, n), rational=True)
+            assert sp.cancel(total - x * (1 - q**n) / (1 - q)) == 0, n
+        assert sp.cancel(sp.nsimplify(_bounce_sum(x, q, None), rational=True) - x / (1 - q)) == 0
 
     def test_numpy_integer_order_equals_the_int_one(self):
         pt = DimensionlessPoint(0.8, 1.3, 0.6, XY)

@@ -40,7 +40,7 @@ from entscat import (
 )
 from entscat.cli import main
 from entscat.core import point_at, resolve_point
-from entscat.sweep import SweepGrid, make_grid, _resolve_grid
+from entscat.sweep import _WRITE_BLOCK, SweepGrid, make_grid, _resolve_grid
 from entscat.verify import dressing_series_deviation
 
 XY = ModelKind.SPIN_EXCHANGE
@@ -431,11 +431,39 @@ def reference_json(grid):
             (Axis("omegaA", 0.0, 1.0, 3),), ("x", "y"),
             ((1, 0.5), (math.inf, None), (-math.inf, math.nan)), {"tool": "t", "note": "ü"},
         ),
+        # a column repeated bit for bit is written once; 0.0 == -0.0, but
+        # their bits differ
+        SweepGrid((Axis("omegaA", 0.0, 1.0, 3),), ("x", "y", "z"), ((0.0, -0.0, 0.0),) * 3, {"tool": "t"}),
+        # equal in the first block of rows the writers format, one cell apart
+        # in the second
+        SweepGrid(
+            (Axis("omegaA", 0.0, 1.0, 4), Axis("omegaB", 0.0, 1.0, _WRITE_BLOCK // 2)), ("x", "y"),
+            tuple((i / 7, 0.5 if i == _WRITE_BLOCK + 100 else i / 7) for i in range(2 * _WRITE_BLOCK)),
+            {"tool": "t"},
+        ),
+        SweepGrid(
+            (Axis("omegaA", 0.0, 1.0, 3),), ("x", "y", "z"),
+            ((0.5, 0.5, 0.5), (None, 0.25, None), (0.125, 0.125, 0.125)), {"tool": "t"},
+        ),
+        # the grid-scan workload's xy grid: at sin2kd = 1 the reflected
+        # columns repeat the transmitted ones
+        run_scan((Axis("omegaA", 0.03, 3.1, 200), Axis("omegaB", 0.02, 2.9, 200)), {"sin2kd": 1.0}, XY),
     ],
-    ids=["2d-multiblock", "undefined", "no-columns", "truncation", "mixed-values"],
+    ids=[
+        "2d-multiblock", "undefined", "no-columns", "truncation", "mixed-values",
+        "signed-zero", "split-in-second-block", "none-beside-equal", "resonant-200x200",
+    ],
 )
 def test_writers_match_reference_bytes(grid, tmp_path):
     write_csv(grid, tmp_path / "g.csv")
     write_json(grid, tmp_path / "g.json")
     assert (tmp_path / "g.csv").read_bytes() == reference_csv(grid).encode("utf-8")
     assert (tmp_path / "g.json").read_bytes() == reference_json(grid).encode("utf-8")
+
+
+def test_grid_refuses_rows_that_do_not_fill_its_axes():
+    axes = (Axis("omegaA", 0.0, 1.0, 3),)
+    with pytest.raises(DomainError, match="grid has 5 rows, its axes make 3"):
+        SweepGrid(axes, ("x", "y"), ((0.5, 0.5),) * 4 + ((0.5,),), {})
+    with pytest.raises(DomainError, match="every grid row needs 2 cells, one per column"):
+        SweepGrid(axes, ("x", "y"), ((0.5, 0.5), (0.5,), (0.5, 0.5)), {})
