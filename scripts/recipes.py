@@ -20,15 +20,12 @@ OUT = Path(__file__).resolve().parent.parent / "out"
 
 def _optimal_concurrence_map(path):
     # each cell runs the per-point optimizer, which no CLI scan does; the
-    # rows go through the same grid serializer the CLI uses
+    # columns go through the same grid serializer the CLI uses
     axes = (Axis("omegaA", 0.02, 3.0, 100), Axis("omegaB", 0.02, 3.0, 100))
-    rows = []
-    for omega_a in axes[0].values():
-        for omega_b in axes[1].values():
-            report = optimal_concurrence(omega_a, omega_b)
-            rows.append((report.concurrence, report.probability, report.phase_choice))
-    columns = ("C_opt", "P_opt", "sin2kd_opt")
-    write_csv(make_grid("optimal-map", ModelKind.SPIN_EXCHANGE, axes, {}, columns, rows), path)
+    reports = [optimal_concurrence(a, b) for a in axes[0].values() for b in axes[1].values()]
+    fields = {"C_opt": "concurrence", "P_opt": "probability", "sin2kd_opt": "phase_choice"}
+    columns = {name: [getattr(report, field) for report in reports] for name, field in fields.items()}
+    write_csv(make_grid("optimal-map", ModelKind.SPIN_EXCHANGE, axes, {}, columns), path)
 
 
 RECIPES = {

@@ -2,9 +2,12 @@
 
 Axes are linear grids over either the physical flags (k, gA, gB, with d
 fixed) or the dimensionless ones (omegaA, omegaB, phase or sin2kd); the two
-unit systems never mix in one sweep.  Rows are emitted in row-major axis
-order and floats are written with their shortest round-trip representation,
-so identical invocations produce byte-identical files.
+unit systems never mix in one sweep.  A grid holds one float64 array per
+column, its cells in row-major axis order, with NaN where a cell is
+undefined; the files write that NaN as an empty cell (CSV) or null (JSON).
+Rows are written in row-major axis order and floats with their shortest
+round-trip representation, so identical invocations produce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +51,8 @@ class Axis:
             raise DomainError(f"axis {self.name!r} needs count >= 2, got {self.count}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise DomainError(f"axis {self.name!r} range must be finite")
+        object.__setattr__(self, "start", float(self.start))
+        object.__setattr__(self, "stop", float(self.stop))
         if not math.isfinite(self.stop - self.start):
             raise DomainError(f"axis {self.name!r} span stop - start is not finite in float64")
 
@@ -61,23 +65,26 @@ class Axis:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Axis definitions, observable columns, and the row-major value table.
+    """Axis definitions and the observable columns: each column name maps to
+    a 1-D float64 array of its cells in row-major axis order.
 
-    An undefined entry is None, never 0: C and a are undefined exactly where
+    NaN marks an undefined cell, never 0: C and a are undefined exactly where
     both flip amplitudes of that side are 0.  P can underflow to 0.0 where C
-    is still defined (opacities near 1e-300).
+    is still defined (opacities near 1e-300).  A column given as a list
+    reads None as NaN.
     """
 
     axes: tuple[Axis, ...]
-    columns: tuple[str, ...]
-    rows: tuple[tuple[float | None, ...], ...]
+    columns: dict[str, np.ndarray]
     meta: dict[str, str]
 
     def __post_init__(self):
-        if len(self.rows) != (cells := math.prod(ax.count for ax in self.axes)):
-            raise DomainError(f"grid has {len(self.rows)} rows, its axes make {cells}")
-        if set(map(len, self.rows)) - {len(self.columns)}:
-            raise DomainError(f"every grid row needs {len(self.columns)} cells, one per column")
+        cells = math.prod(ax.count for ax in self.axes)
+        columns = {name: np.asarray(values, dtype=float) for name, values in self.columns.items()}
+        for name, values in columns.items():
+            if values.shape != (cells,):
+                raise DomainError(f"grid column {name!r} has shape {values.shape}, its axes make ({cells},)")
+        object.__setattr__(self, "columns", columns)
 
 
 def _check_request(axes: tuple[Axis, ...], fixed: dict[str, float], item: str, requested) -> None:
@@ -99,12 +106,12 @@ def make_grid(
     model: ModelKind,
     axes: tuple[Axis, ...],
     fixed: dict[str, float],
-    columns: tuple[str, ...],
-    rows,
+    columns: dict[str, np.ndarray],
     **extra: str,
 ) -> SweepGrid:
-    """A SweepGrid with its meta: the tool, ``kind``, ``model``, the units,
-    the axes, each fixed parameter and the ``extra`` entries."""
+    """A SweepGrid of ``columns`` with its meta: the tool, ``kind``,
+    ``model``, the units, the axes, each fixed parameter and the ``extra``
+    entries."""
     meta = {
         "tool": f"entscat {__version__}",
         "kind": kind,
@@ -113,8 +120,8 @@ def make_grid(
         "axes": "|".join(f"{ax.name}:{ax.start!r}:{ax.stop!r}:{ax.count}" for ax in axes),
     }
     for name in sorted(fixed):
-        meta[name] = repr(fixed[name])
-    return SweepGrid(tuple(axes), tuple(columns), tuple(rows), {**meta, **extra})
+        meta[name] = repr(float(fixed[name]))
+    return SweepGrid(tuple(axes), columns, {**meta, **extra})
 
 
 def _resolve_grid(axes: tuple[Axis, ...], fixed: dict[str, float], model: ModelKind) -> DimensionlessPoint:
@@ -124,18 +131,6 @@ def _resolve_grid(axes: tuple[Axis, ...], fixed: dict[str, float], model: ModelK
     for i, ax in enumerate(axes):
         params[ax.name] = np.reshape(ax.values(), [-1 if j == i else 1 for j in range(len(axes))])
     return validate(resolve_point(params, model))
-
-
-def _columns(shape: tuple[int, ...], arrays) -> list[list[float | None]]:
-    """Row-major value lists of observable arrays, NaN (undefined) as None."""
-    columns = []
-    for arr in arrays:
-        flat = np.broadcast_to(arr, shape).ravel()
-        values = flat.tolist()
-        for i in np.flatnonzero(np.isnan(flat)).tolist():
-            values[i] = None
-        columns.append(values)
-    return columns
 
 
 def run_scan(
@@ -155,8 +150,9 @@ def run_scan(
     obs = observables_at(_resolve_grid(axes, fixed, model))
     by_name = {"C_t": obs.concurrence_t, "P_t": obs.probability_t, "a_t": obs.ratio_a_t,
                "C_r": obs.concurrence_r, "P_r": obs.probability_r, "a_r": obs.ratio_a_r}
-    rows = zip(*_columns(tuple(ax.count for ax in axes), [by_name[c] for c in columns]))
-    return make_grid("scan", model, axes, fixed, columns, rows)
+    shape = tuple(ax.count for ax in axes)
+    return make_grid("scan", model, axes, fixed,
+                     {c: np.broadcast_to(by_name[c], shape).ravel() for c in columns})
 
 
 def run_truncation(
@@ -168,44 +164,37 @@ def run_truncation(
     next to the exact values (exchange model, transmitted side)."""
     model = ModelKind.SPIN_EXCHANGE
     _check_request((axis,), fixed, "bounce order", bounce_orders)
-    columns = []
-    for n in bounce_orders:
-        columns += [f"C_n{n}", f"P_n{n}"]
-    columns += ["C_exact", "P_exact"]
     cells = _resolve_grid((axis,), fixed, model)
-    arrays = []
-    for n in bounce_orders:
-        obs = _observables(truncated_amplitudes(cells, n))
-        arrays += obs.concurrence_t, obs.probability_t
-    obs = observables_at(cells)
-    arrays += obs.concurrence_t, obs.probability_t
-    rows = zip(*_columns((axis.count,), arrays))
+    sets = {f"n{n}": _observables(truncated_amplitudes(cells, n)) for n in bounce_orders}
+    sets["exact"] = observables_at(cells)
+    columns = {}
+    for suffix, obs in sets.items():
+        for name, values in (("C", obs.concurrence_t), ("P", obs.probability_t)):
+            columns[f"{name}_{suffix}"] = np.broadcast_to(values, (axis.count,)).ravel()
     orders = ",".join(str(n) for n in bounce_orders)
-    return make_grid("truncate", model, (axis,), fixed, columns, rows, bounce_orders=orders)
+    return make_grid("truncate", model, (axis,), fixed, columns, bounce_orders=orders)
 
 
-_WRITE_BLOCK = 2048  # rows formatted and written at once; their text is all held until written
+_WRITE_BLOCK = 2048  # cells per column formatted and written at once; their text is all held until written
 
 
-def _text_blocks(rows, as_json: bool):
-    """Each block of up to _WRITE_BLOCK rows as (row count, its columns as
-    text): ``repr(float(v))``, and None as "" (CSV) or "null" (JSON, which
-    writes inf and NaN so too).  A column with the float64 bits of an earlier
-    one in its block reuses that one's text."""
+def _text_blocks(grid: SweepGrid, as_json: bool):
+    """Each block of up to _WRITE_BLOCK cells as (cell count, each column's
+    slice as text): ``repr`` of each float, with a NaN (undefined) cell as ""
+    (CSV) or every non-finite cell as "null" (JSON).  A slice with the
+    float64 bits of an earlier one in its block reuses that one's text."""
     null = "null" if as_json else ""
-    for start in range(0, len(rows), _WRITE_BLOCK):
-        block, done, columns = rows[start : start + _WRITE_BLOCK], {}, []
-        for col in zip(*block):
-            try:
-                key = array("d", col).tobytes()
-            except TypeError:  # a None cell: formatted cell by cell, never reused
-                key = object()
-            if key not in done:
-                plain = isinstance(key, bytes) and (not as_json or all(map(math.isfinite, col)))
-                done[key] = list(map(repr, map(float, col))) if plain else [
-                    null if v is None or as_json and not math.isfinite(v) else repr(float(v)) for v in col]
+    cells = math.prod(ax.count for ax in grid.axes)
+    for start in range(0, cells, _WRITE_BLOCK):
+        done, columns = {}, []
+        for col in grid.columns.values():
+            col = col[start : start + _WRITE_BLOCK]
+            if (key := col.tobytes()) not in done:
+                done[key] = text = list(map(repr, col.tolist()))
+                for i in np.flatnonzero(~np.isfinite(col) if as_json else np.isnan(col)).tolist():
+                    text[i] = null
             columns.append(done[key])
-        yield len(block), columns
+        yield min(cells - start, _WRITE_BLOCK), columns
 
 
 def write_csv(grid: SweepGrid, path) -> None:
@@ -215,7 +204,7 @@ def write_csv(grid: SweepGrid, path) -> None:
     coords = itertools.product(*([repr(float(v)) for v in ax.values()] for ax in grid.axes))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(meta_line + "\n" + header + "\n")
-        for count, columns in _text_blocks(grid.rows, as_json=False):
+        for count, columns in _text_blocks(grid, as_json=False):
             lines = zip(*zip(*itertools.islice(coords, count)), *columns)
             fh.write("\n".join(map(",".join, lines)) + "\n")
 
@@ -238,7 +227,7 @@ def write_json(grid: SweepGrid, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(head + "[\n")
         lead = ""
-        for count, columns in _text_blocks(grid.rows, as_json=True):
+        for count, columns in _text_blocks(grid, as_json=True):
             rows = "\n  ],\n  [\n   ".join(map(",\n   ".join, zip(*columns)))
             fh.write(lead + (f"  [\n   {rows}\n  ]" if columns else ",\n".join(["  []"] * count)))
             lead = ",\n"

@@ -268,7 +268,7 @@ def test_criterion_09_figure_shapes():
     axis = Axis("k", 0.05, 10.0, 200)
     grid = run_scan((axis,), {"gA": 3.0, "gB": 3.0}, XY)
     ks = np.array(axis.values())
-    concurrence = np.array([row[0] for row in grid.rows], dtype=float)
+    concurrence = grid.columns["C_t"]
     peaks_ok = all(
         concurrence[int(np.argmin(np.abs(ks - target)))] > 1.0 - 1e-12
         for target in (1.0, 2.0, 3.0)
@@ -280,10 +280,7 @@ def test_criterion_09_figure_shapes():
 
     # contact model, equal couplings g = 1.5: sides genuinely separate
     grid2 = run_scan((axis,), {"gA": 1.5, "gB": 1.5}, HEIS)
-    c_t = np.array([row[0] for row in grid2.rows], dtype=float)
-    c_r = np.array([row[2] for row in grid2.rows], dtype=float)
-    p_t = np.array([row[1] for row in grid2.rows], dtype=float)
-    p_r = np.array([row[3] for row in grid2.rows], dtype=float)
+    c_t, p_t, c_r, p_r = (grid2.columns[name] for name in ("C_t", "P_t", "C_r", "P_r"))
     side_gap = max(float(np.abs(c_t - c_r).max()), float(np.abs(p_t - p_r).max()))
     report(
         9,

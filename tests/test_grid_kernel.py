@@ -341,7 +341,7 @@ def test_probability_underflows_while_concurrence_is_defined(model):
     obs = observables_at(DimensionlessPoint(1e-300, 1e-300, 1.0, model))
     assert (obs.concurrence_t, obs.probability_t) == (1.0, 0.0)
     grid = run_scan((Axis("phase", 1.0, 1.0, 2),), {"omegaA": 1e-300, "omegaB": 1e-300}, model)
-    assert grid.rows[0][:2] == (1.0, 0.0)
+    assert (grid.columns["C_t"][0], grid.columns["P_t"][0]) == (1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +381,13 @@ def grids(draw):
 def test_scan_cells_match_point_evaluation(case):
     axes, fixed, model = case
     grid = run_scan(axes, fixed, model, ALL_COLUMNS)
-    assert len(grid.rows) == math.prod(ax.count for ax in axes)
-    for index, row in enumerate(grid.rows):
+    cells = math.prod(ax.count for ax in axes)
+    assert [values.shape for values in grid.columns.values()] == [(cells,)] * len(ALL_COLUMNS)
+    for index in range(cells):
         obs = observables_at(resolve_point({**fixed, **_cell(axes, index)}, model))
+        row = [values[index] for values in grid.columns.values()]
         expected = tuple(getattr(obs, name) for name in FIELDS)
-        assert [v is None for v in row] == [v is None for v in expected]
+        assert [math.isnan(v) for v in row] == [v is None for v in expected]
         for value, ref in zip(row, expected):
             if ref is not None:
                 assert math.isclose(value, ref, rel_tol=GRID_REL, abs_tol=GRID_ABS), (index, value, ref)
@@ -394,13 +396,19 @@ def test_scan_cells_match_point_evaluation(case):
 # ---------------------------------------------------------------------------
 # the streaming writers against the plain writers they replace
 
+def reference_rows(grid):
+    """Cell i of every column, for each cell i in row-major order."""
+    cells = math.prod(ax.count for ax in grid.axes)
+    return [[float(values[i]) for values in grid.columns.values()] for i in range(cells)]
+
+
 def reference_csv(grid):
     lines = ["# meta: " + ";".join(f"{k}={v}" for k, v in sorted(grid.meta.items()))]
     lines.append(",".join([ax.name for ax in grid.axes] + list(grid.columns)))
-    for index, row in enumerate(grid.rows):
+    for index, row in enumerate(reference_rows(grid)):
         coords = _cell(grid.axes, index)
         cells = [repr(float(coords[ax.name])) for ax in grid.axes]
-        cells += ["" if v is None else repr(float(v)) for v in row]
+        cells += ["" if math.isnan(v) else repr(v) for v in row]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -413,7 +421,7 @@ def reference_json(grid):
             for ax in grid.axes
         ],
         "columns": list(grid.columns),
-        "rows": [[None if v is None or not math.isfinite(v) else float(v) for v in row] for row in grid.rows],
+        "rows": [[v if math.isfinite(v) else None for v in row] for row in reference_rows(grid)],
     }
     return json.dumps(document, indent=1, sort_keys=True, allow_nan=False) + "\n"
 
@@ -425,25 +433,33 @@ def reference_json(grid):
             (Axis("omegaA", 0.0, 3.0, 70), Axis("omegaB", 0.0, 2.0, 90)), {"sin2kd": 1.0}, XY, ALL_COLUMNS
         ),
         run_scan((Axis("phase", 0.1, 1.0, 3),), {"omegaA": 0.0, "omegaB": 0.0}, HEIS),
-        make_grid("scan", HEIS, (Axis("phase", 0.1, 1.0, 3),), {"omegaA": 0.0, "omegaB": 1.0}, (), [()] * 3),
+        make_grid("scan", HEIS, (Axis("phase", 0.1, 1.0, 3),), {"omegaA": 0.0, "omegaB": 1.0}, {}),
         run_truncation(Axis("k", 0.05, 10.0, 9), {"gA": 3.0, "gB": 3.0}, (0, 1, 3)),
         SweepGrid(
-            (Axis("omegaA", 0.0, 1.0, 3),), ("x", "y"),
-            ((1, 0.5), (math.inf, None), (-math.inf, math.nan)), {"tool": "t", "note": "ü"},
+            (Axis("omegaA", 0.0, 1.0, 3),), {"x": [1, math.inf, -math.inf], "y": [0.5, None, math.nan]},
+            {"tool": "t", "note": "ü"},
         ),
         # a column repeated bit for bit is written once; 0.0 == -0.0, but
         # their bits differ
-        SweepGrid((Axis("omegaA", 0.0, 1.0, 3),), ("x", "y", "z"), ((0.0, -0.0, 0.0),) * 3, {"tool": "t"}),
-        # equal in the first block of rows the writers format, one cell apart
-        # in the second
+        SweepGrid((Axis("omegaA", 0.0, 1.0, 3),), {"x": [0.0] * 3, "y": [-0.0] * 3, "z": [0.0] * 3}, {"tool": "t"}),
+        # equal in the first block of cells the writers format, one cell
+        # apart in the second
         SweepGrid(
-            (Axis("omegaA", 0.0, 1.0, 4), Axis("omegaB", 0.0, 1.0, _WRITE_BLOCK // 2)), ("x", "y"),
-            tuple((i / 7, 0.5 if i == _WRITE_BLOCK + 100 else i / 7) for i in range(2 * _WRITE_BLOCK)),
+            (Axis("omegaA", 0.0, 1.0, 4), Axis("omegaB", 0.0, 1.0, _WRITE_BLOCK // 2)),
+            {"x": [i / 7 for i in range(2 * _WRITE_BLOCK)],
+             "y": [0.5 if i == _WRITE_BLOCK + 100 else i / 7 for i in range(2 * _WRITE_BLOCK)]},
             {"tool": "t"},
         ),
         SweepGrid(
-            (Axis("omegaA", 0.0, 1.0, 3),), ("x", "y", "z"),
-            ((0.5, 0.5, 0.5), (None, 0.25, None), (0.125, 0.125, 0.125)), {"tool": "t"},
+            (Axis("omegaA", 0.0, 1.0, 3),),
+            {"x": [0.5, None, 0.125], "y": [0.5, 0.25, 0.125], "z": [0.5, None, 0.125]}, {"tool": "t"},
+        ),
+        # an undefined-bearing column bit-identical to an earlier one reuses
+        # its text, the empty or null cells included
+        SweepGrid(
+            (Axis("omegaA", 0.0, 1.0, 4),),
+            {"x": [None, 0.25, math.inf, -0.0], "y": [0.5] * 4, "z": [math.nan, 0.25, math.inf, -0.0]},
+            {"tool": "t"},
         ),
         # the grid-scan workload's xy grid: at sin2kd = 1 the reflected
         # columns repeat the transmitted ones
@@ -451,7 +467,8 @@ def reference_json(grid):
     ],
     ids=[
         "2d-multiblock", "undefined", "no-columns", "truncation", "mixed-values",
-        "signed-zero", "split-in-second-block", "none-beside-equal", "resonant-200x200",
+        "signed-zero", "split-in-second-block", "none-beside-equal", "repeated-undefined",
+        "resonant-200x200",
     ],
 )
 def test_writers_match_reference_bytes(grid, tmp_path):
@@ -461,9 +478,9 @@ def test_writers_match_reference_bytes(grid, tmp_path):
     assert (tmp_path / "g.json").read_bytes() == reference_json(grid).encode("utf-8")
 
 
-def test_grid_refuses_rows_that_do_not_fill_its_axes():
+def test_grid_refuses_columns_that_do_not_fill_its_axes():
     axes = (Axis("omegaA", 0.0, 1.0, 3),)
-    with pytest.raises(DomainError, match="grid has 5 rows, its axes make 3"):
-        SweepGrid(axes, ("x", "y"), ((0.5, 0.5),) * 4 + ((0.5,),), {})
-    with pytest.raises(DomainError, match="every grid row needs 2 cells, one per column"):
-        SweepGrid(axes, ("x", "y"), ((0.5, 0.5), (0.5,), (0.5, 0.5)), {})
+    with pytest.raises(DomainError, match=r"grid column 'y' has shape \(2,\), its axes make \(3,\)"):
+        SweepGrid(axes, {"x": [0.5] * 3, "y": [0.5] * 2}, {})
+    with pytest.raises(DomainError, match=r"grid column 'x' has shape \(3, 1\), its axes make \(3,\)"):
+        SweepGrid(axes, {"x": np.zeros((3, 1))}, {})

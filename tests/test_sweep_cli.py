@@ -69,13 +69,11 @@ class TestRunScan:
     def test_degenerate_scan_matches_point_evaluation(self):
         grid = run_scan((Axis("k", 3.0, 3.0, 2),), {"gA": 3.0, "gB": 3.0}, XY)
         obs = observables_at(resolve_point({"k": 3.0, "gA": 3.0, "gB": 3.0}, XY))
-        assert len(grid.rows) == 2
-        for row in grid.rows:
+        expected = (obs.concurrence_t, obs.probability_t, obs.concurrence_r, obs.probability_r)
+        assert list(grid.columns) == ["C_t", "P_t", "C_r", "P_r"]
+        for values, ref in zip(grid.columns.values(), expected):
             # grids run numpy's complex arithmetic, which may round the last digits differently
-            assert row == pytest.approx(
-                (obs.concurrence_t, obs.probability_t, obs.concurrence_r, obs.probability_r),
-                rel=GRID_REL, abs=GRID_ABS,
-            )
+            assert values.tolist() == pytest.approx([ref, ref], rel=GRID_REL, abs=GRID_ABS)
 
     def test_2d_row_major_order(self):
         grid = run_scan(
@@ -83,19 +81,18 @@ class TestRunScan:
             {"sin2kd": 1.0},
             XY,
         )
-        assert len(grid.rows) == 6
+        assert all(values.shape == (6,) for values in grid.columns.values())
         direct = observables_at(resolve_point({"omegaA": 0.5, "omegaB": 2.0, "sin2kd": 1.0}, XY))
         matching = [
-            i for i, row in enumerate(grid.rows)
-            if row[1] == pytest.approx(direct.probability_t, rel=GRID_REL, abs=GRID_ABS)
+            i for i, p_t in enumerate(grid.columns["P_t"].tolist())
+            if p_t == pytest.approx(direct.probability_t, rel=GRID_REL, abs=GRID_ABS)
         ]
         assert matching == [2]  # row 2 = (omegaA[0], omegaB[2])
 
-    def test_undefined_cells_are_none(self):
+    def test_undefined_cells_are_nan(self):
         grid = run_scan((Axis("phase", 0.1, 1.0, 3),), {"omegaA": 0.0, "omegaB": 0.0}, XY)
-        for row in grid.rows:
-            assert row[0] is None  # C_t
-            assert row[1] == 0.0  # P_t
+        assert np.isnan(grid.columns["C_t"]).all()
+        assert grid.columns["P_t"].tolist() == [0.0] * 3
 
     def test_unknown_column_rejected(self):
         with pytest.raises(DomainError, match="unknown column"):
@@ -124,6 +121,18 @@ class TestSerialization:
         assert lines[1] == "k,C_n0,P_n0,C_n1,P_n1,C_n3,P_n3,C_exact,P_exact"
         assert len(lines) == 2 + 7 + 1  # meta, header, rows, trailing newline
         assert lines[-1] == ""
+
+    def test_files_do_not_depend_on_the_input_number_type(self, tmp_path):
+        written = set()
+        for num in (float, np.float64, int):
+            grid = run_scan((Axis("omegaA", num(0), num(1), 3),), {"omegaB": num(2), "phase": num(1)}, XY)
+            write_csv(grid, tmp_path / "g.csv")
+            write_json(grid, tmp_path / "g.json")
+            written.add(((tmp_path / "g.csv").read_bytes(), (tmp_path / "g.json").read_bytes()))
+        assert len(written) == 1
+        csv, doc = written.pop()
+        assert b"axes=omegaA:0.0:1.0:3;" in csv and b";omegaB=2.0;phase=1.0;" in csv
+        assert json.loads(doc)["axes"][0]["start"] == 0.0 and b'"start": 0.0' in doc
 
     def test_csv_serializes_undefined_as_empty_cell(self, tmp_path):
         grid = run_scan((Axis("phase", 0.1, 1.0, 2),), {"omegaA": 0.0, "omegaB": 0.0}, XY)
