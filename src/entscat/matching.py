@@ -53,12 +53,6 @@ _COUPLINGS = {
 _INCIDENT = np.array([1.0, 0.0, 0.0])
 
 
-def _phase_factors(phase):
-    """E = exp(ikd) and 1/E = exp(-ikd) at k = 1, d = ``phase``, as arrays."""
-    phase = np.asarray(phase)
-    return np.exp(1j * phase), np.exp(-1j * phase)
-
-
 def build_matching_system(pt: DimensionlessPoint) -> tuple[np.ndarray, np.ndarray]:
     """Assemble the derivative-jump equations at both sites, with R and T
     set by continuity, as the dense 6x6 system M x = b in x = (A+, A-), the
@@ -68,10 +62,18 @@ def build_matching_system(pt: DimensionlessPoint) -> tuple[np.ndarray, np.ndarra
 
     On a stacked point, one system per cell, stacked over the leading axes:
     M has shape (..., 6, 6) and b shape (..., 6)."""
-    pt = validate(pt)
+    matrix, rhs, _, _ = _matching_system(validate(pt))
+    return matrix, rhs
+
+
+def _matching_system(pt: DimensionlessPoint):
+    """(M, b, E, 1/E) at the validated point ``pt``: the system of
+    :func:`build_matching_system` and its phase factors E = exp(ikd) and
+    1/E = exp(-ikd) at k = 1, d = ``phase``, one per cell."""
     m_a, m_b = _COUPLINGS[pt.model]
     omega_a, omega_b, phase = np.broadcast_arrays(pt.omega_a, pt.omega_b, pt.phase)
-    ea, em = (e[..., None, None] for e in _phase_factors(phase))
+    factors = np.exp(1j * phase), np.exp(-1j * phase)
+    ea, em = (e[..., None, None] for e in factors)
     omega_a, omega_b = omega_a[..., None, None], omega_b[..., None, None]
     # the jump's 2 omega M per site.  2M holds only 0 and powers of two, so
     # scaling omega E by it is exact; an opacity near the float64 maximum
@@ -92,7 +94,7 @@ def build_matching_system(pt: DimensionlessPoint) -> tuple[np.ndarray, np.ndarra
     system[..., 3:, 3:6] = jump * em - coupling_b_em
     _, exponent = np.frexp(np.abs(system[..., :6]).max(axis=-1, keepdims=True))
     system = np.ldexp(system.view(float), -exponent).view(complex)  # ldexp has no complex loop
-    return system[..., :6], system[..., 6]
+    return system[..., :6], system[..., 6], *factors
 
 
 def solve_system(matrix: np.ndarray, rhs: np.ndarray, point: DimensionlessPoint) -> np.ndarray:
@@ -135,9 +137,10 @@ def solve_amplitudes_numeric(pt: DimensionlessPoint) -> AmplitudeSet:
     On a stacked point, one stacked solve whose fields are arrays of the
     stack's shape; at a single point the fields are Python complex numbers."""
     pt = validate(pt)
-    solution = solve_system(*build_matching_system(pt), pt)
+    matrix, rhs, *factors = _matching_system(pt)
+    solution = solve_system(matrix, rhs, pt)
     a_plus, a_minus = solution[..., :3], solution[..., 3:]
-    ea, em = (e[..., None] for e in _phase_factors(pt.phase))
+    ea, em = (e[..., None] for e in factors)
     # the AmplitudeSet fields in order: (T, R) of each channel in turn
     outgoing = np.stack([a_plus * ea + a_minus * em, a_plus + a_minus - _INCIDENT], axis=-1).reshape(solution.shape)
     if outgoing.ndim == 1:

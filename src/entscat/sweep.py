@@ -5,6 +5,8 @@ fixed) or the dimensionless ones (omegaA, omegaB, phase or sin2kd); the two
 unit systems never mix in one sweep.  A grid holds one float64 array per
 column, its cells in row-major axis order, with NaN where a cell is
 undefined; the files write that NaN as an empty cell (CSV) or null (JSON).
+A grid is evaluated in blocks of rows straight into its columns, so its
+memory is 8 bytes per cell per column plus one block's temporaries.
 Rows are written in row-major axis order and floats with their shortest
 round-trip representation, so identical invocations produce byte-identical
 files.
@@ -15,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -133,26 +135,54 @@ def _resolve_grid(axes: tuple[Axis, ...], fixed: dict[str, float], model: ModelK
     return validate(resolve_point(params, model))
 
 
+_BLOCK = 8192  # cells evaluated at once: each complex temporary of the closed forms is this long
+
+
+def _evaluate(cells: DimensionlessPoint, axes: tuple[Axis, ...], evaluate, fields: dict[str, str]):
+    """Each column of ``fields`` (column name -> ObservableSet field) of
+    ``evaluate`` on the grid ``cells`` of ``axes``, in row-major order.
+
+    The grid is evaluated in consecutive blocks of whole rows of the first
+    axis, about _BLOCK cells and at least one row each, and each block's
+    values go straight into the preallocated columns.  A block is ``cells``
+    with the fields that vary along the first axis cut to its rows,
+    ``phase_original`` with them, so the first bad cell raises with the
+    point it has in the whole grid."""
+    shape = tuple(ax.count for ax in axes)
+    step = max(1, _BLOCK // math.prod(shape[1:]))
+    columns = {name: np.empty(shape) for name in fields}
+    for start in range(0, shape[0], step):
+        rows = slice(start, start + step)
+        cut = {f: x[rows] for f in ("omega_a", "omega_b", "phase", "phase_original")
+               if np.ndim(x := getattr(cells, f)) == len(shape) and np.shape(x)[0] > 1}
+        obs = evaluate(replace(cells, **cut))
+        for name, field in fields.items():
+            columns[name][rows] = getattr(obs, field)
+    return {name: values.ravel() for name, values in columns.items()}
+
+
+# the ObservableSet field of each sweep column
+_FIELDS = {"C_t": "concurrence_t", "P_t": "probability_t", "a_t": "ratio_a_t",
+           "C_r": "concurrence_r", "P_r": "probability_r", "a_r": "ratio_a_r"}
+
+
 def run_scan(
     axes: tuple[Axis, ...],
     fixed: dict[str, float],
     model: ModelKind,
     columns: tuple[str, ...] = DEFAULT_COLUMNS,
 ) -> SweepGrid:
-    """Evaluate the observables on a 1D or 2D grid, in one vectorized pass
-    of :func:`observables_at` over the whole grid."""
+    """Evaluate the observables on a 1D or 2D grid: :func:`observables_at`
+    on blocks of rows of the first axis (see :func:`_evaluate`)."""
     _check_request(axes, fixed, "column", columns)
     if not columns:
         raise DomainError("need at least one column")
     for col in columns:
         if col not in KNOWN_COLUMNS:
             raise DomainError(f"unknown column {col!r}; known: {KNOWN_COLUMNS}")
-    obs = observables_at(_resolve_grid(axes, fixed, model))
-    by_name = {"C_t": obs.concurrence_t, "P_t": obs.probability_t, "a_t": obs.ratio_a_t,
-               "C_r": obs.concurrence_r, "P_r": obs.probability_r, "a_r": obs.ratio_a_r}
-    shape = tuple(ax.count for ax in axes)
-    return make_grid("scan", model, axes, fixed,
-                     {c: np.broadcast_to(by_name[c], shape).ravel() for c in columns})
+    cells = _resolve_grid(axes, fixed, model)
+    values = _evaluate(cells, axes, observables_at, {c: _FIELDS[c] for c in columns})
+    return make_grid("scan", model, axes, fixed, values)
 
 
 def run_truncation(
@@ -161,16 +191,17 @@ def run_truncation(
     bounce_orders: tuple[int, ...],
 ) -> SweepGrid:
     """Concurrence and probability with the bounce series cut at each order,
-    next to the exact values (exchange model, transmitted side)."""
+    next to the exact values (exchange model, transmitted side).  Each order
+    in turn, then the exact values, runs over the whole axis (see
+    :func:`_evaluate`), so the first order with a bad cell raises."""
     model = ModelKind.SPIN_EXCHANGE
     _check_request((axis,), fixed, "bounce order", bounce_orders)
     cells = _resolve_grid((axis,), fixed, model)
-    sets = {f"n{n}": _observables(truncated_amplitudes(cells, n)) for n in bounce_orders}
-    sets["exact"] = observables_at(cells)
+    sets = {f"n{n}": lambda pt, n=n: _observables(truncated_amplitudes(pt, n)) for n in bounce_orders}
+    sets["exact"] = observables_at
     columns = {}
-    for suffix, obs in sets.items():
-        for name, values in (("C", obs.concurrence_t), ("P", obs.probability_t)):
-            columns[f"{name}_{suffix}"] = np.broadcast_to(values, (axis.count,)).ravel()
+    for suffix, evaluate in sets.items():
+        columns |= _evaluate(cells, (axis,), evaluate, {f"C_{suffix}": "concurrence_t", f"P_{suffix}": "probability_t"})
     orders = ",".join(str(n) for n in bounce_orders)
     return make_grid("truncate", model, (axis,), fixed, columns, bounce_orders=orders)
 

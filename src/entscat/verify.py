@@ -82,10 +82,10 @@ def _series_sigma(f, r_own, r_same_partner, e2):
         tail_target = 1e-14 * (1.0 - mag_q) / np.abs(prefactor)
         need = (np.log(tail_target) / np.log(mag_q)).astype(np.int64) + 2
     terms = np.where(converges & (tail_target < 1.0), np.maximum(need, 50), 50)
+    bits = np.arange(int(terms.max()).bit_length())[::-1].reshape((-1,) + (1,) * terms.ndim)
     total, power = np.zeros_like(q), np.ones_like(q)  # S_m and q^m, from m = 0
-    for bit in reversed(range(int(terms.max()).bit_length())):
+    for step in (terms >> bits) & 1 == 1:  # the bits of each n, highest first
         total, power = total * (1.0 + power), power * power
-        step = (terms >> bit) & 1 == 1
         total, power = np.where(step, 1.0 + q * total, total), np.where(step, q * power, power)
     return np.where(converges, prefactor * total, np.nan)[()]
 
@@ -102,7 +102,7 @@ def dressing_series_deviation(pt: DimensionlessPoint):
     if pt.model is not ModelKind.HEISENBERG_CONTACT:
         raise UnsupportedModelError("the dressing check exists only for the contact model")
     # a single point runs as a stack of one, so that it rounds as a stack does
-    omega_a, omega_b, phase = (np.atleast_1d(x) for x in (pt.omega_a, pt.omega_b, pt.phase))
+    omega_a, omega_b, phase = np.atleast_1d(*np.broadcast_arrays(pt.omega_a, pt.omega_b, pt.phase))
     with np.errstate(all="ignore"):
         a = _site_terms(omega_a, pt.model)
         b = _site_terms(omega_b, pt.model)
@@ -110,8 +110,8 @@ def dressing_series_deviation(pt: DimensionlessPoint):
         *_, sigma_a, sigma_b = _dressed(a, b, e2)
         _, a_r, a_f, _, a_rs = a
         _, b_r, b_f, _, b_rs = b
-        series_a = _series_sigma(a_f, a_r, b_rs, e2)
-        series_b = _series_sigma(b_f, b_r, a_rs, e2)
+        # both sites in one call, stacked on a new leading axis
+        series_a, series_b = _series_sigma(np.stack([a_f, b_f]), np.stack([a_r, b_r]), np.stack([b_rs, a_rs]), e2)
     bad = ~np.isfinite(sigma_a + sigma_b + series_a + series_b)
     if bad.any():
         cell = point_at(pt, int(np.argmax(bad)))
