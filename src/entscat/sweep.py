@@ -5,8 +5,7 @@ fixed) or the dimensionless ones (omegaA, omegaB, phase or sin2kd); the two
 unit systems never mix in one sweep.  A grid holds one float64 array per
 column, its cells in row-major axis order, with NaN where a cell is
 undefined; the files write that NaN as an empty cell (CSV) or null (JSON).
-A grid is evaluated in blocks of rows straight into its columns, so its
-memory is 8 bytes per cell per column plus one block's temporaries.
+A grid is evaluated in blocks of rows straight into its columns.
 Rows are written in row-major axis order and floats with their shortest
 round-trip representation, so identical invocations produce byte-identical
 files.
@@ -135,19 +134,15 @@ def _resolve_grid(axes: tuple[Axis, ...], fixed: dict[str, float], model: ModelK
     return validate(resolve_point(params, model))
 
 
-_BLOCK = 8192  # cells evaluated at once: each complex temporary of the closed forms is this long
+_BLOCK = 4096  # cells evaluated at once: each complex temporary of the closed forms is this long
 
 
 def _evaluate(cells: DimensionlessPoint, axes: tuple[Axis, ...], evaluate, fields: dict[str, str]):
-    """Each column of ``fields`` (column name -> ObservableSet field) of
-    ``evaluate`` on the grid ``cells`` of ``axes``, in row-major order.
-
-    The grid is evaluated in consecutive blocks of whole rows of the first
-    axis, about _BLOCK cells and at least one row each, and each block's
-    values go straight into the preallocated columns.  A block is ``cells``
-    with the fields that vary along the first axis cut to its rows,
-    ``phase_original`` with them, so the first bad cell raises with the
-    point it has in the whole grid."""
+    """Column name -> the ObservableSet field ``fields`` names, of
+    ``evaluate`` on the grid ``cells`` of ``axes``, raveled.  Blocks of whole
+    first-axis rows, about _BLOCK cells each, are evaluated in turn into the
+    preallocated columns.  A block cuts each field that varies along the
+    first axis, ``phase_original`` too, so an error carries its point."""
     shape = tuple(ax.count for ax in axes)
     step = max(1, _BLOCK // math.prod(shape[1:]))
     columns = {name: np.empty(shape) for name in fields}
@@ -180,8 +175,7 @@ def run_scan(
     for col in columns:
         if col not in KNOWN_COLUMNS:
             raise DomainError(f"unknown column {col!r}; known: {KNOWN_COLUMNS}")
-    cells = _resolve_grid(axes, fixed, model)
-    values = _evaluate(cells, axes, observables_at, {c: _FIELDS[c] for c in columns})
+    values = _evaluate(_resolve_grid(axes, fixed, model), axes, observables_at, {c: _FIELDS[c] for c in columns})
     return make_grid("scan", model, axes, fixed, values)
 
 
@@ -192,8 +186,7 @@ def run_truncation(
 ) -> SweepGrid:
     """Concurrence and probability with the bounce series cut at each order,
     next to the exact values (exchange model, transmitted side).  Each order
-    in turn, then the exact values, runs over the whole axis (see
-    :func:`_evaluate`), so the first order with a bad cell raises."""
+    runs over the whole axis in turn, so the first with a bad cell raises."""
     model = ModelKind.SPIN_EXCHANGE
     _check_request((axis,), fixed, "bounce order", bounce_orders)
     cells = _resolve_grid((axis,), fixed, model)

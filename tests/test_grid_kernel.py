@@ -479,7 +479,7 @@ def test_blocked_truncation_equals_the_whole_axis_bit_for_bit():
 
 def test_scan_memory_is_its_columns_and_one_block():
     """The tracemalloc peak of a 400x400 heis scan is its four columns
-    (4.9 MiB) and the temporaries of one block: 7.6 MiB, measured with numpy
+    (4.9 MiB) and the temporaries of one block: 6.3 MiB, measured with numpy
     2.4 on x86-64.  One pass over the whole grid, whose temporaries are each
     grid-sized, peaks at 41.8 MiB there."""
     axes, fixed = (Axis("omegaA", 0.01, 3.0, 400), Axis("omegaB", 0.02, 3.1, 400)), {"phase": 1.3}
