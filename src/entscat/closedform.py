@@ -54,18 +54,15 @@ def _site_terms(omega, model):
     array.  The exchange model's t, r, t_same and r_same come out real.
     """
     if model is ModelKind.SPIN_EXCHANGE:
-        den = 1.0 + omega * omega
-        return 1.0 / den, -omega * omega / den, -1j * omega / den, 1.0, 0.0
+        square = omega * omega
+        den = 1.0 + square
+        return 1.0 / den, -square / den, -1j * omega / den, 1.0, 0.0
     if model is ModelKind.HEISENBERG_CONTACT:
-        den = (1.0 + 1j * omega) * (1.0 - 3j * omega)
-        same = 1.0 + 1j * omega
-        return (
-            (1.0 - 1j * omega) / den,
-            1j * omega * (1.0 + 3j * omega) / den,
-            -2j * omega / den,
-            1.0 / same,
-            -1j * omega / same,
-        )
+        # -1j * omega is not -(1j * omega): the signs of their zeros differ
+        i1, i3 = 1j * omega, 3j * omega
+        same = 1.0 + i1
+        den = same * (1.0 - i3)
+        return (1.0 - i1) / den, i1 * (1.0 + i3) / den, -2j * omega / den, 1.0 / same, -1j * omega / same
     raise UnsupportedModelError(f"unknown model {model!r}")
 
 
@@ -109,12 +106,12 @@ def dressed_coefficients(pt: DimensionlessPoint):
                    _dressed(_site_terms(omega_a, model), _site_terms(omega_b, model), e2))
 
 
-def _bounce_sum(x, q, terms):
+def _bounce_sum(x, q, den, terms):
     """x (1 + q + ... + q^(terms-1)): the first ``terms`` terms of the bounce
-    series of x, each bounce a factor q = r_A r_B E^2; all of it, x/(1 - q),
-    when ``terms`` is None."""
+    series of x, each bounce a factor q = r_A r_B E^2; all of it, x/den with
+    ``den`` = 1 - q, when ``terms`` is None."""
     if terms is None:
-        return x / (1.0 - q)
+        return x / den
     total = 0.0
     for _ in range(terms):
         total = 1.0 + q * total
@@ -138,11 +135,12 @@ def _closed_forms(omega_a, omega_b, ea, em, e2, model, bounces=None):
     if model is ModelKind.SPIN_EXCHANGE:
         # paths that leave through B bounce up to n times, those back through A up to n - 1
         q = a_r * b_r * e2
+        den = 1.0 - q if bounces is None else None
         through_b = None if bounces is None else bounces + 1
-        t_nf = _bounce_sum(a_t * b_t * ea, q, through_b)
-        r_nf = a_r + _bounce_sum(a_t * a_t * b_r * e2, q, bounces)
-        t_fb = _bounce_sum(a_t * b_f * ea, q, through_b)
-        t_fa = (1.0 + _bounce_sum(a_t * b_r * e2, q, bounces)) * a_f * ea
+        t_nf = _bounce_sum(a_t * b_t * ea, q, den, through_b)
+        r_nf = a_r + _bounce_sum(a_t * a_t * b_r * e2, q, den, bounces)
+        t_fb = _bounce_sum(a_t * b_f * ea, q, den, through_b)
+        t_fa = (1.0 + _bounce_sum(a_t * b_r * e2, q, den, bounces)) * a_f * ea
         return t_nf, r_nf, t_fb, t_fb * ea, t_fa, t_fa * em
 
     ta_d, ra_d, tb_d, rb_d, _, _ = _dressed(a, b, e2)
@@ -162,8 +160,8 @@ def _closed_forms(omega_a, omega_b, ea, em, e2, model, bounces=None):
 
 def _finite(pt: DimensionlessPoint, form, *args):
     """``form(omega_a, omega_b, E, 1/E, E^2, model, *args)`` at a validated
-    point with cmath phase factors, or on a stack with numpy's (which may
-    round the last digits otherwise).  Raises NumericError at the first cell
+    point, its fields as Python floats, with cmath phase factors, or on a
+    stack with numpy's (which may round the last digits otherwise).  Raises NumericError at the first cell
     where a value is not finite."""
     phase = pt.phase
     if _is_stack(pt):
@@ -177,9 +175,11 @@ def _finite(pt: DimensionlessPoint, form, *args):
             return values
         pt = point_at(pt, int(np.argmax(bad)))
     else:
+        # as Python floats, exact for numpy scalars, whose arithmetic would warn where a value overflows
+        omega_a, omega_b, phase = float(pt.omega_a), float(pt.omega_b), float(phase)
         try:
-            values = form(pt.omega_a, pt.omega_b, cmath.exp(1j * phase), cmath.exp(-1j * phase),
-                          cmath.exp(2j * phase), pt.model, *args)
+            ea = cmath.exp(1j * phase)  # its conjugate is 1/E exactly as cmath.exp(-1j * phase) rounds it
+            values = form(omega_a, omega_b, ea, ea.conjugate(), cmath.exp(2j * phase), pt.model, *args)
             if cmath.isfinite(sum(values)):  # each value is O(1), so the sum is finite exactly when every value is
                 return values
         except ZeroDivisionError:  # a denominator rounded to exactly 0 (numpy gives inf there)
@@ -199,7 +199,7 @@ def amplitudes(pt: DimensionlessPoint) -> AmplitudeSet:
     above about 1e8, and omega^2 overflows above about 1e154.  A result
     that is not finite raises NumericError with the point attached.
     """
-    return AmplitudeSet(*_finite(validate(pt), _closed_forms))
+    return AmplitudeSet._make(_finite(validate(pt), _closed_forms))
 
 
 def truncated_amplitudes(pt: DimensionlessPoint, n: int) -> AmplitudeSet:
@@ -219,4 +219,4 @@ def truncated_amplitudes(pt: DimensionlessPoint, n: int) -> AmplitudeSet:
     requirement = "must be a non-negative integer"
     n = check_count("bounce count", n, requirement)
     check_rules(("bounce count", n, n >= 0, requirement))
-    return AmplitudeSet(*_finite(pt, _closed_forms, n))
+    return AmplitudeSet._make(_finite(pt, _closed_forms, n))

@@ -26,6 +26,7 @@ it.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import math
 import operator
@@ -137,7 +138,25 @@ class AmplitudeSet(NamedTuple):
         return sum(abs(z) ** 2 for z in self)
 
 
-@dataclass(frozen=True, slots=True)
+def _slot_init(cls):
+    """Give the frozen slotted dataclass ``cls``, declared with ``init=False``
+    and fields without defaults, an ``__init__`` that stores each field
+    through its slot's member descriptor.  It takes the arguments that the
+    generated ``__init__`` would, but skips its ``object.__setattr__`` per
+    field, which costs more than twice as much; one-point queries build a
+    record per call."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    namespace = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
+    body = "".join(f"\n    _set_{name}(self, {name})" for name in names)
+    exec(f"def __init__(self, {', '.join(names)}):{body}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
+
+
+@_slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class ObservableSet:
     """Concurrence, amplitude ratio, and detection probability per side.
 

@@ -79,7 +79,8 @@ def _observables(amps: AmplitudeSet) -> ObservableSet:
 def _side(amps: AmplitudeSet, side: str):
     """(C, P, a) of ``side``: C and a by :func:`concurrence_and_ratio` from
     complex amplitudes, and elementwise, with NaN for None, from arrays."""
-    x, y = map(abs, post_selected_state(amps, side))
+    w_updown, w_downup = post_selected_state(amps, side)
+    x, y = abs(w_updown), abs(w_downup)
     if isinstance(x, float):
         c, a = concurrence_and_ratio(x, y)
     else:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .core import NumericError, check_opacity
+from .core import NumericError, _slot_init, check_opacity
 from .observables import concurrence, model1_probability, model1_ratio
 
 
@@ -31,7 +31,8 @@ class Regime(Enum):
     RIGHT_REGION = "right"
 
 
-@dataclass(frozen=True, slots=True)
+@_slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class OptimalityReport:
     """Best reachable concurrence at fixed couplings, the phase choice
     sin^2(kd) that attains it, and the probability paid for it.  ``reason``
@@ -109,10 +110,10 @@ def optimal_concurrence(omega_a: float, omega_b: float) -> OptimalityReport:
     1e77).  The opacities are taken as Python floats, so every field of the
     report is one and an overflow below is silent for numpy scalars too.
     """
-    unit = unit_concurrence_phase(omega_a, omega_b)  # checks both opacities
+    s, reason = unit_concurrence_phase(omega_a, omega_b)  # checks both opacities
     omega_a, omega_b = float(omega_a), float(omega_b)
-    if unit.sin2_kd is not None:
-        s, c, regime = unit.sin2_kd, 1.0, Regime.UNIT_CONCURRENCE_REGION
+    if s is not None:
+        c, regime = 1.0, Regime.UNIT_CONCURRENCE_REGION
     else:
         s, regime = (0.0, Regime.RIGHT_REGION) if omega_a > omega_b else (1.0, Regime.LEFT_REGION)
         ratio = 0.0 if omega_a == 0.0 else model1_ratio(omega_a, omega_b, s)
@@ -123,7 +124,7 @@ def optimal_concurrence(omega_a: float, omega_b: float) -> OptimalityReport:
         p = math.nan
     if not math.isfinite(p):
         raise NumericError(f"probability is not finite in float64 at omega_a={omega_a!r}, omega_b={omega_b!r}")
-    return OptimalityReport(omega_a, omega_b, s, c, p, regime, unit.reason)
+    return OptimalityReport(omega_a, omega_b, s, c, p, regime, reason)
 
 
 def find_global_p_opt():

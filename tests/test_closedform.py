@@ -173,9 +173,9 @@ class TestTruncatedAmplitudes:
         # exact rational arithmetic: the float literals become rationals
         x, q = sp.symbols("x q")
         for n in range(6):
-            total = sp.nsimplify(_bounce_sum(x, q, n), rational=True)
+            total = sp.nsimplify(_bounce_sum(x, q, None, n), rational=True)  # a partial sum needs no 1 - q
             assert sp.cancel(total - x * (1 - q**n) / (1 - q)) == 0, n
-        assert sp.cancel(sp.nsimplify(_bounce_sum(x, q, None), rational=True) - x / (1 - q)) == 0
+        assert sp.cancel(sp.nsimplify(_bounce_sum(x, q, 1 - q, None), rational=True) - x / (1 - q)) == 0
 
     def test_numpy_integer_order_equals_the_int_one(self):
         pt = DimensionlessPoint(0.8, 1.3, 0.6, XY)

@@ -1,5 +1,7 @@
 import cmath
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from entscat import (
     DimensionlessPoint,
     DomainError,
     ModelKind,
+    NumericError,
     amplitudes,
     concurrence_and_ratio,
     model1_probability,
@@ -187,3 +190,26 @@ class TestScalarForms:
         a = model1_ratio(omega_a, omega_b, math.sin(phase) ** 2)
         assert base * (1.0 - 1e-12) <= a
         assert a <= base * (1.0 + 2.0 * omega_b**2) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("model", [XY, HEIS], ids=lambda m: m.value)
+@pytest.mark.parametrize("omega, phase", [(0.7, 0.5), (3.0, 2.9), (1e9, 0.0), (1e9, 0.5), (1e200, 0.0), (1e200, 0.5)])
+def test_a_numpy_scalar_point_answers_as_its_python_float_point(model, omega, phase):
+    # numpy scalars are points (DimensionlessPoint): the one-point path takes
+    # them as Python floats, so numpy's scalar arithmetic neither warns where
+    # a value overflows or a denominator rounds to 0 nor leaks into the fields
+    plain = DimensionlessPoint(omega, 2.0 * omega, phase, model)
+    scalar = DimensionlessPoint(np.float64(omega), np.float64(2.0 * omega), np.float64(phase), model)
+    raises = omega == 1e200 or (model is XY and omega == 1e9 and phase == 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if raises:
+            with pytest.raises(NumericError):
+                observables_at(plain)
+            with pytest.raises(NumericError) as info:
+                observables_at(scalar)
+            assert info.value.point == scalar
+            return
+        want, got = observables_at(plain), observables_at(scalar)
+    assert repr(got) == repr(want)
+    assert all(type(v) is float or v is None for v in (getattr(got, f.name) for f in dataclasses.fields(got)))

@@ -332,6 +332,34 @@ class TestOptimalConcurrence:
         assert probability_at_resonance(omega_a, omega_b) >= model1_probability(omega_a, omega_b, s) - 1e-14
 
 
+# repr of the report, captured before the report was stored slot by slot and
+# the unit phase unpacked: all three regimes, the corners, both region
+# boundaries (omega_a = omega_b and the resonance curve, with the global
+# optimum on it), tiny and large opacities, and numpy and Fraction inputs
+FROZEN_REPORTS = [
+    (0.5, 2.0, "OptimalityReport(omega_a=0.5, omega_b=2.0, phase_choice=0.1875, concurrence=1.0, probability=0.24806201550387597, regime=<Regime.UNIT_CONCURRENCE_REGION: 'unit'>, reason=None)"),
+    (0.1, 2.0, "OptimalityReport(omega_a=0.1, omega_b=2.0, phase_choice=1.0, concurrence=0.7484407484407484, probability=0.18565622334327875, regime=<Regime.LEFT_REGION: 'left'>, reason='maximum ratio stays below 1 even at resonance')"),
+    (2.0, 1.0, "OptimalityReport(omega_a=2.0, omega_b=1.0, phase_choice=0.0, concurrence=0.8, probability=0.1388888888888889, regime=<Regime.RIGHT_REGION: 'right'>, reason='minimum ratio omega_a/omega_b exceeds 1 at every phase')"),
+    (1.3, 1.3, "OptimalityReport(omega_a=1.3, omega_b=1.3, phase_choice=0.0, concurrence=1.0, probability=0.17618481683034126, regime=<Regime.UNIT_CONCURRENCE_REGION: 'unit'>, reason=None)"),
+    (0.0, 1.0, "OptimalityReport(omega_a=0.0, omega_b=1.0, phase_choice=1.0, concurrence=0.0, probability=0.25, regime=<Regime.LEFT_REGION: 'left'>, reason='flip amplitude of A vanishes (omega_a = 0)')"),
+    (1.0, 0.0, "OptimalityReport(omega_a=1.0, omega_b=0.0, phase_choice=0.0, concurrence=0.0, probability=0.25, regime=<Regime.RIGHT_REGION: 'right'>, reason='minimum ratio omega_a/omega_b exceeds 1 at every phase')"),
+    (0.0, 0.0, "OptimalityReport(omega_a=0.0, omega_b=0.0, phase_choice=1.0, concurrence=0.0, probability=0.0, regime=<Regime.LEFT_REGION: 'left'>, reason='flip amplitude of A vanishes (omega_a = 0)')"),
+    (0.2727272727272727, 1.5, "OptimalityReport(omega_a=0.2727272727272727, omega_b=1.5, phase_choice=1.0, concurrence=1.0, probability=0.3360981443617144, regime=<Regime.UNIT_CONCURRENCE_REGION: 'unit'>, reason=None)"),
+    (0.3258123994038707, 1.065253688583415, "OptimalityReport(omega_a=0.3258123994038707, omega_b=1.065253688583415, phase_choice=1.0, concurrence=1.0, probability=0.3684589675583181, regime=<Regime.UNIT_CONCURRENCE_REGION: 'unit'>, reason=None)"),
+    (0.7, 0.7000000000000001, "OptimalityReport(omega_a=0.7, omega_b=0.7000000000000001, phase_choice=1.0861751077397972e-16, concurrence=1.0, probability=0.24997449239873482, regime=<Regime.UNIT_CONCURRENCE_REGION: 'unit'>, reason=None)"),
+    (0.7000000000000001, 0.7, "OptimalityReport(omega_a=0.7000000000000001, omega_b=0.7, phase_choice=0.0, concurrence=1.0, probability=0.24997449239873476, regime=<Regime.RIGHT_REGION: 'right'>, reason='minimum ratio omega_a/omega_b exceeds 1 at every phase')"),
+    (1e-200, 3e-200, "OptimalityReport(omega_a=1e-200, omega_b=3e-200, phase_choice=1.0, concurrence=0.6, probability=0.0, regime=<Regime.LEFT_REGION: 'left'>, reason='maximum ratio stays below 1 even at resonance')"),
+    (1e70, 2e70, "OptimalityReport(omega_a=1e+70, omega_b=2e+70, phase_choice=4.6875e-282, concurrence=1.0, probability=2.8571428571428573e-141, regime=<Regime.UNIT_CONCURRENCE_REGION: 'unit'>, reason=None)"),
+    (np.float64(0.3), np.float64(0.9), "OptimalityReport(omega_a=0.3, omega_b=0.9, phase_choice=1.0, concurrence=0.9908978593580596, probability=0.34114562996766934, regime=<Regime.LEFT_REGION: 'left'>, reason='maximum ratio stays below 1 even at resonance')"),
+    (Fraction(1, 3), Fraction(2, 3), "OptimalityReport(omega_a=0.3333333333333333, omega_b=0.6666666666666666, phase_choice=1.0, concurrence=0.99836867862969, probability=0.3072510581421252, regime=<Regime.LEFT_REGION: 'left'>, reason='maximum ratio stays below 1 even at resonance')"),
+]
+
+
+@pytest.mark.parametrize("omega_a, omega_b, expected", FROZEN_REPORTS)
+def test_report_is_bit_identical_to_the_frozen_repr(omega_a, omega_b, expected):
+    assert repr(optimal_concurrence(omega_a, omega_b)) == expected
+
+
 class TestGoldenSection:
     def test_finds_a_known_vertex(self):
         x = golden_section_maximize(lambda x: -((x - 1.234) ** 2), 0.0, 3.0, tol=1e-12)
