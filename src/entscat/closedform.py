@@ -38,7 +38,6 @@ from .core import (
     NumericError,
     SiteCoefficients,
     UnsupportedModelError,
-    _is_stack,
     check_count,
     check_opacity,
     check_rules,
@@ -69,11 +68,13 @@ def _site_terms(omega, model):
 def site_coefficients(omega: float, model: ModelKind) -> SiteCoefficients:
     """Amplitudes of a single delta scatterer of opacity ``omega``.
 
-    Both models satisfy |t|^2 + |r|^2 + 2|f|^2 = 1 and
-    |t_same|^2 + |r_same|^2 = 1 exactly.
+    Both models satisfy |t|^2 + |r|^2 + 2|f|^2 = 1 and |t_same|^2 + |r_same|^2 = 1
+    exactly.  NumericError where one is not finite in float64 (omega above about 1e154).
     """
-    check_opacity("omega", omega)
-    return SiteCoefficients(*map(complex, _site_terms(omega, model)))
+    terms = _site_terms(check_opacity("omega", omega), model)
+    if not cmath.isfinite(sum(terms)):  # each term is O(1), so the sum is finite exactly when every term is
+        raise NumericError(f"site coefficients are not finite in float64 at omega={omega!r} (model {model.value})")
+    return SiteCoefficients(*map(complex, terms))
 
 
 def _dressed(a, b, e2):
@@ -160,27 +161,25 @@ def _closed_forms(omega_a, omega_b, ea, em, e2, model, bounces=None):
 
 def _finite(pt: DimensionlessPoint, form, *args):
     """``form(omega_a, omega_b, E, 1/E, E^2, model, *args)`` at a validated
-    point, its fields as Python floats, with cmath phase factors, or on a
-    stack with numpy's (which may round the last digits otherwise).  Raises NumericError at the first cell
-    where a value is not finite."""
+    point, with cmath phase factors, or on a stack, whose phase is an array,
+    with numpy's (which may round the last digits otherwise).  Raises
+    NumericError at the first cell where the square of a value is not finite."""
     phase = pt.phase
-    if _is_stack(pt):
+    if type(phase) is not float:
         import numpy as np
 
         with np.errstate(all="ignore"):
             factors = np.exp(1j * phase), np.exp(-1j * phase), np.exp(2j * phase)
             values = form(pt.omega_a, pt.omega_b, *factors, pt.model, *args)
-            bad = ~np.isfinite(sum(values))
+            bad = ~np.isfinite((m := sum(map(abs, values))) * m)
         if not bad.any():
             return values
         pt = point_at(pt, int(np.argmax(bad)))
     else:
-        # as Python floats, exact for numpy scalars, whose arithmetic would warn where a value overflows
-        omega_a, omega_b, phase = float(pt.omega_a), float(pt.omega_b), float(phase)
         try:
             ea = cmath.exp(1j * phase)  # its conjugate is 1/E exactly as cmath.exp(-1j * phase) rounds it
-            values = form(omega_a, omega_b, ea, ea.conjugate(), cmath.exp(2j * phase), pt.model, *args)
-            if cmath.isfinite(sum(values)):  # each value is O(1), so the sum is finite exactly when every value is
+            values = form(pt.omega_a, pt.omega_b, ea, ea.conjugate(), cmath.exp(2j * phase), pt.model, *args)
+            if cmath.isfinite((m := sum(map(abs, values))) * m):  # finite exactly when every value's square is
                 return values
         except ZeroDivisionError:  # a denominator rounded to exactly 0 (numpy gives inf there)
             pass
@@ -196,8 +195,8 @@ def amplitudes(pt: DimensionlessPoint) -> AmplitudeSet:
 
     The denominators cannot vanish for real phase because |r_A r_B| < 1 at
     any finite opacity.  In float64 they can: r rounds to -1 for omega
-    above about 1e8, and omega^2 overflows above about 1e154.  A result
-    that is not finite raises NumericError with the point attached.
+    above about 1e8, and omega^2 overflows above about 1e154.  A result not
+    finite, or too large to square, raises NumericError with the point.
     """
     return AmplitudeSet._make(_finite(validate(pt), _closed_forms))
 

@@ -190,11 +190,26 @@ def _is_array(x) -> bool:
     return np is not None and isinstance(x, np.ndarray)
 
 
-def _is_stack(pt: DimensionlessPoint) -> bool:
-    """Whether ``pt`` is a stacked point (see :class:`DimensionlessPoint`)."""
-    if isinstance(pt.omega_a, float) and isinstance(pt.omega_b, float) and isinstance(pt.phase, float):
-        return False  # plain floats, the common case, skip the array test
-    return _is_array(pt.omega_a) or _is_array(pt.omega_b) or _is_array(pt.phase)
+def _float(name: str, x):
+    """``x`` as a Python float, an array as it is; ValidationError naming ``name`` if float64 cannot hold it."""
+    if _is_array(x):
+        return x
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValidationError(f"{name} must lie within the float64 range, |{name}| < 1.8e308") from None
+
+
+def _is_stack(**fields) -> bool:
+    """Whether any of ``fields`` is a numpy array; DomainError, naming their
+    shapes, where the arrays do not broadcast together."""
+    shapes = {name: x.shape for name, x in fields.items() if _is_array(x)}
+    if len(shapes) > 1:
+        try:
+            sys.modules["numpy"].broadcast_shapes(*shapes.values())  # loaded, as an array came in
+        except ValueError:
+            raise DomainError(f"stacked fields do not broadcast together: shapes {shapes}") from None
+    return bool(shapes)
 
 
 def opacity_ok(omega):
@@ -212,8 +227,8 @@ def first_cell(bad, *arrays):
     import numpy as np
 
     bad, *arrays = np.broadcast_arrays(bad, *arrays)
-    index = np.unravel_index(np.argmax(bad), bad.shape)
-    return [a[index].item() for a in arrays]
+    index = int(np.argmax(bad))
+    return [a.item(index) for a in arrays]  # item, not [index].item(): an int beyond int64 is an object
 
 
 def check_rules(*rules):
@@ -244,10 +259,12 @@ def check_point(pt: DimensionlessPoint, *rules) -> None:
     )
 
 
-def check_opacity(name: str, omega: float) -> None:
-    """Raise ValidationError unless ``omega`` passes :func:`opacity_ok`."""
-    if not opacity_ok(omega):
-        check_rules((name, omega, False, _OPACITY))
+def check_opacity(name: str, omega: float) -> float:
+    """``omega`` as a Python float; ValidationError unless it is an opacity float64 holds."""
+    if type(omega) is float and 0.0 <= omega < math.inf:
+        return omega
+    check_rules((name, omega, opacity_ok(omega), _OPACITY))
+    return _float(name, omega)
 
 
 def check_count(name: str, value, requirement: str = "must be an integer") -> int:
@@ -263,26 +280,28 @@ def check_count(name: str, value, requirement: str = "must be an integer") -> in
 
 
 def validate(pt: DimensionlessPoint) -> DimensionlessPoint:
-    """Check domains and fold the phase into the canonical window [0, pi).
-
-    Raises ValidationError for non-finite or negative opacities and for a
-    non-finite phase.  Returns the point unchanged when already canonical.
-    Cell by cell on a stacked point, whose ``phase_original`` keeps the raw
-    phases.
-    """
-    phase = pt.phase
-    if (
-        not _is_stack(pt)
-        and 0.0 <= phase < math.pi
-        and opacity_ok(pt.omega_a)
-        and opacity_ok(pt.omega_b)
-    ):
+    """The one gate for a point: check domains, convert the fields and fold
+    the phase into [0, pi).  Raises ValidationError for a negative or
+    non-finite value and for one float64 cannot hold; an int or Fraction is
+    taken at its nearest float.  A point comes back with Python float fields,
+    the same object if it had them and was canonical; a stack (see
+    :func:`_is_stack`) is checked and folded cell by cell, its raw phases kept
+    in ``phase_original`` and its phase made an array, so the phase's type
+    tells the two apart."""
+    omega_a, omega_b, phase = pt.omega_a, pt.omega_b, pt.phase
+    floats = type(omega_a) is float and type(omega_b) is float and type(phase) is float
+    if floats and 0.0 <= phase < math.pi and 0.0 <= omega_a < math.inf and 0.0 <= omega_b < math.inf:
         return pt
-    check_point(pt)
+    stack = not floats and _is_stack(omega_a=omega_a, omega_b=omega_b, phase=phase)
+    check_point(pt)  # before converting, so that a non-number raises TypeError from a comparison
+    omega_a, omega_b, phase = _float("omega_a", omega_a), _float("omega_b", omega_b), _float("phase", phase)
+    if not stack and 0.0 <= phase < math.pi:
+        return DimensionlessPoint(omega_a, omega_b, phase, pt.model, pt.phase_original)
     original = phase if pt.phase_original is None else pt.phase_original
     folded = phase % math.pi
     folded = folded - math.pi * (folded >= math.pi)  # a tiny negative phase rounds up to pi
-    return DimensionlessPoint(pt.omega_a, pt.omega_b, folded, pt.model, original)
+    folded = sys.modules["numpy"].asarray(folded) if stack else folded
+    return DimensionlessPoint(omega_a, omega_b, folded, pt.model, original)
 
 
 def point_at(pt: DimensionlessPoint, index: int) -> DimensionlessPoint:
@@ -301,16 +320,18 @@ def to_dimensionless(p: PhysicalPoint, model: ModelKind) -> DimensionlessPoint:
 
     In these units omega = g/k and phase = pi*k*d.  Raises ValidationError
     when k or d is not positive and finite, a coupling is negative or not
-    finite, or the conversion overflows.  Elementwise on numpy arrays."""
-    k, d = p.k, p.d
-    rules = [(n, x, (x > 0.0) & (x < math.inf), "must be positive and finite") for n, x in (("k", k), ("d", d))]
-    for n, g in (("g_a", p.g_a), ("g_b", p.g_b)):
-        rules.append((n, g, opacity_ok(g), "must be a finite non-negative coupling"))
-    if not _is_array(k):
-        check_rules(rules[0])  # a zero k must not reach the division
+    finite, or a value or the conversion overflows float64.  Elementwise on numpy arrays."""
+    positive = "must be positive and finite"
+    rules = [(n, x, (x > 0.0) & (x < math.inf), positive) for n, x in (("k", p.k), ("d", p.d))]
+    rules += [(n, g, opacity_ok(g), "must be a finite non-negative coupling") for n, g in (("g_a", p.g_a), ("g_b", p.g_b))]
+    fields = {name: value for name, value, _, _ in rules}
+    _is_stack(**fields)  # arrays that do not broadcast must not reach the division
+    k, d, g_a, g_b = (_float(name, x) for name, x in fields.items())
+    if not _is_array(k):  # nor a scalar k that is 0 in float64
+        check_rules(("k", k, 0.0 < k < math.inf, positive))
     np = sys.modules.get("numpy")  # only numpy inputs warn where they overflow, and they load it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore") if np else contextlib.nullcontext():
-        pt = DimensionlessPoint(p.g_a / k, p.g_b / k, math.pi * k * d, model)
+        pt = DimensionlessPoint(g_a / k, g_b / k, math.pi * k * d, model)
     check_point(pt, *rules)
     return pt
 

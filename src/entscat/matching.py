@@ -143,6 +143,6 @@ def solve_amplitudes_numeric(pt: DimensionlessPoint) -> AmplitudeSet:
     ea, em = (e[..., None] for e in factors)
     # the AmplitudeSet fields in order: (T, R) of each channel in turn
     outgoing = np.stack([a_plus * ea + a_minus * em, a_plus + a_minus - _INCIDENT], axis=-1).reshape(solution.shape)
-    if outgoing.ndim == 1:
+    if type(pt.phase) is float:  # a point, not a stack, as validate returns it
         return AmplitudeSet(*outgoing.tolist())
     return AmplitudeSet(*np.moveaxis(outgoing, -1, 0))

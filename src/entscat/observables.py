@@ -81,12 +81,12 @@ def _side(amps: AmplitudeSet, side: str):
     complex amplitudes, and elementwise, with NaN for None, from arrays."""
     w_updown, w_downup = post_selected_state(amps, side)
     x, y = abs(w_updown), abs(w_downup)
-    if isinstance(x, float):
+    if type(x) is float:  # a point; a stack, even of one cell, gives numpy values
         c, a = concurrence_and_ratio(x, y)
     else:
         import numpy as np
 
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             c, a = concurrence(np.minimum(x, y), np.maximum(x, y)), y / x
     return c, probability(x, y), a
 

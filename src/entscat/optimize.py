@@ -73,11 +73,7 @@ def unit_concurrence_phase(omega_a: float, omega_b: float) -> UnitPhase:
 
     Feasible exactly when omega_a/omega_b <= 1 <= (omega_a/omega_b)(1 + 2 omega_b^2).
     """
-    check_opacity("omega_a", omega_a)
-    check_opacity("omega_b", omega_b)
-    # as Python floats (exact for numpy scalars), whose overflow to inf below
-    # is silent where numpy's would warn
-    omega_a, omega_b = float(omega_a), float(omega_b)
+    omega_a, omega_b = check_opacity("omega_a", omega_a), check_opacity("omega_b", omega_b)
     if omega_a == 0.0:
         return UnitPhase(None, "flip amplitude of A vanishes (omega_a = 0)")
     if omega_a > omega_b:
@@ -107,11 +103,10 @@ def optimal_concurrence(omega_a: float, omega_b: float) -> OptimalityReport:
     never disagree.  The degenerate corners (either opacity zero) report
     C = 0: one or both flip branches are empty there.  Raises NumericError
     where the probability is not finite in float64 (opacities beyond about
-    1e77).  The opacities are taken as Python floats, so every field of the
-    report is one and an overflow below is silent for numpy scalars too.
-    """
-    s, reason = unit_concurrence_phase(omega_a, omega_b)  # checks both opacities
-    omega_a, omega_b = float(omega_a), float(omega_b)
+    1e77).  Every field of the report is a Python float, as :func:`check_opacity`
+    returns the opacities, so an overflow is silent for numpy scalars too."""
+    omega_a, omega_b = check_opacity("omega_a", omega_a), check_opacity("omega_b", omega_b)
+    s, reason = unit_concurrence_phase(omega_a, omega_b)
     if s is not None:
         c, regime = 1.0, Regime.UNIT_CONCURRENCE_REGION
     else:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closedform import _dressed, _site_terms, amplitudes
-from .core import DimensionlessPoint, ModelKind, NumericError, UnsupportedModelError, _is_stack
+from .core import DimensionlessPoint, ModelKind, NumericError, UnsupportedModelError
 from .core import check_count, check_rules, point_at, validate
 from .matching import solve_amplitudes_numeric
 from .observables import _observables
@@ -117,7 +117,7 @@ def dressing_series_deviation(pt: DimensionlessPoint):
         cell = point_at(pt, int(np.argmax(bad)))
         raise NumericError(f"dressing check not computable in float64 (|q| ~ 1 or overflow) at {cell!r}", cell)
     deviation = np.maximum(abs(sigma_a - series_a), abs(sigma_b - series_b))
-    return deviation if _is_stack(pt) else float(deviation[0])
+    return float(deviation[0]) if type(pt.phase) is float else deviation  # a stack's phase is an array
 
 
 def _deviations(stack: DimensionlessPoint) -> list[tuple[str, float, np.ndarray]]:
