@@ -194,10 +194,10 @@ def _float(name: str, x):
     """``x`` as a Python float, an array as it is; ValidationError naming ``name`` if float64 cannot hold it."""
     if _is_array(x):
         return x
-    try:
-        return float(x)
-    except OverflowError:
-        raise ValidationError(f"{name} must lie within the float64 range, |{name}| < 1.8e308") from None
+    with contextlib.suppress(OverflowError):
+        if abs(y := float(x)) < math.inf or not abs(x) < math.inf:  # some types round a finite x to inf
+            return y
+    raise ValidationError(f"{name} must lie within the float64 range, |{name}| < 1.8e308")
 
 
 def _is_stack(**fields) -> bool:
@@ -321,14 +321,13 @@ def to_dimensionless(p: PhysicalPoint, model: ModelKind) -> DimensionlessPoint:
     In these units omega = g/k and phase = pi*k*d.  Raises ValidationError
     when k or d is not positive and finite, a coupling is negative or not
     finite, or a value or the conversion overflows float64.  Elementwise on numpy arrays."""
-    positive = "must be positive and finite"
-    rules = [(n, x, (x > 0.0) & (x < math.inf), positive) for n, x in (("k", p.k), ("d", p.d))]
+    rules = [(n, x, (x > 0.0) & (x < math.inf), "must be positive and finite") for n, x in (("k", p.k), ("d", p.d))]
     rules += [(n, g, opacity_ok(g), "must be a finite non-negative coupling") for n, g in (("g_a", p.g_a), ("g_b", p.g_b))]
     fields = {name: value for name, value, _, _ in rules}
     _is_stack(**fields)  # arrays that do not broadcast must not reach the division
     k, d, g_a, g_b = (_float(name, x) for name, x in fields.items())
     if not _is_array(k):  # nor a scalar k that is 0 in float64
-        check_rules(("k", k, 0.0 < k < math.inf, positive))
+        check_rules(("k", k, 0.0 < k < math.inf, rules[0][3]))
     np = sys.modules.get("numpy")  # only numpy inputs warn where they overflow, and they load it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore") if np else contextlib.nullcontext():
         pt = DimensionlessPoint(g_a / k, g_b / k, math.pi * k * d, model)

@@ -17,6 +17,7 @@ from a comparison.
 import contextlib
 import io
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -228,9 +229,11 @@ def test_cli_point_and_report(model, omega_a, omega_b, phase):
     ],
     ids=["opacity", "fraction", "phase", "numeric", "optimizer", "coupling"],
 )
-def test_a_number_beyond_float64_names_its_field(entry):
+@pytest.mark.parametrize("value", [10**400, Decimal("1e400")], ids=["int", "decimal"])
+def test_a_number_beyond_float64_names_its_field(entry, value):
+    # float(Decimal("1e400")) is inf, where float(10**400) raises OverflowError
     with pytest.raises(ValidationError, match=r"(omega_a|phase|g_a) must lie within the float64 range"):
-        entry(10**400)
+        entry(value)
 
 
 def test_a_stack_that_does_not_broadcast_names_the_shapes():
