@@ -80,16 +80,21 @@ def unit_concurrence_phase(omega_a: float, omega_b: float) -> UnitPhase:
         return UnitPhase(None, "minimum ratio omega_a/omega_b exceeds 1 at every phase")
     if omega_a == omega_b:
         return UnitPhase(0.0, None)
-    b2 = omega_b * omega_b
     # grouped so the squares of tiny opacities never underflow; the positive
     # numerator over a denominator that still underflows to 0 is +inf
-    den = 4.0 * omega_a * omega_b * (1.0 + b2)
-    s = ((omega_b - omega_a) / omega_a) * ((omega_b + omega_a) / omega_b) / den if den else math.inf
+    den = 4.0 * omega_a * omega_b * (1.0 + omega_b * omega_b)
+    if den == math.inf:
+        # here omega_b > 1e76, so 1 + omega_b^2 is omega_b^2 in float64, and
+        # s = (1 - (omega_a/omega_b)^2) / (2 omega_a omega_b)^2 with no square formed
+        ab = 2.0 * omega_a * omega_b
+        s = (omega_b - omega_a) / omega_b * (1.0 + omega_a / omega_b) / ab / ab
+    else:
+        s = ((omega_b - omega_a) / omega_a) * ((omega_b + omega_a) / omega_b) / den if den else math.inf
     # feasibility judged on the solved phase itself; the relative slack lets
     # points on the float-rounded boundary curve through, clamped to 1
     if not s <= 1.0 + 1e-12:
         return UnitPhase(None, "maximum ratio stays below 1 even at resonance")
-    return UnitPhase(min(max(s, 0.0), 1.0), None)
+    return UnitPhase(min(s, 1.0), None)  # s >= 0, as omega_a < omega_b
 
 
 def optimal_concurrence(omega_a: float, omega_b: float) -> OptimalityReport:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closedform import _dressed, _site_terms, amplitudes
+from .closedform import _dressed, _partial_sum, _site_terms, amplitudes
 from .core import DimensionlessPoint, ModelKind, NumericError, UnsupportedModelError
 from .core import check_count, check_rules, point_at, validate
 from .matching import solve_amplitudes_numeric
@@ -63,31 +63,18 @@ def sample_points(model: ModelKind, samples: int, seed: int) -> DimensionlessPoi
 
 def _series_sigma(f, r_own, r_same_partner, e2):
     """Direct summation of the dressing self-energy, f^2 r_same E^2 times
-    1 + q + ... + q^(n-1) with q = r_own r_same E^2, with enough terms n
-    that the analytic tail bound drops below 1e-14.
-
-    The n-term partial sum is formed exactly by binary doubling over the
-    bits of n, S_2m = S_m (1 + q^m) and S_(m+1) = 1 + q S_m, so it takes
-    O(log n) operations and never forms the closed form 1/(1 - q).
-    Elementwise on numpy arrays, each element with its own n; the doubling
-    runs over the bits of the largest, and leading zero bits are no-ops
-    (S_0 = 0, q^0 = 1).  NaN where |q| >= 1 - 4 eps: q carries a few ulps
-    of rounding, so nearer the unit circle float64 cannot tell a convergent
-    series from a divergent one (at opacities of about 1e8 and above)."""
+    the partial sum 1 + q + ... + q^(n-1) of :func:`closedform._partial_sum`
+    with q = r_own r_same E^2, which never forms the closed form 1/(1 - q).
+    Elementwise on numpy arrays.  NaN where |q| >= 1 - 4 eps: q carries a
+    few ulps of rounding, so nearer the unit circle float64 cannot tell a
+    convergent series from a divergent one (at opacities of about 1e8 and
+    above)."""
     q = r_own * r_same_partner * e2
-    prefactor = f * f * r_same_partner * e2
-    mag_q = np.abs(q)
-    converges = mag_q < 1.0 - 2.0**-50
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tail_target = 1e-14 * (1.0 - mag_q) / np.abs(prefactor)
-        need = (np.log(tail_target) / np.log(mag_q)).astype(np.int64) + 2
-    terms = np.where(converges & (tail_target < 1.0), np.maximum(need, 50), 50)
-    bits = np.arange(int(terms.max()).bit_length())[::-1].reshape((-1,) + (1,) * terms.ndim)
-    total, power = np.zeros_like(q), np.ones_like(q)  # S_m and q^m, from m = 0
-    for step in (terms >> bits) & 1 == 1:  # the bits of each n, highest first
-        total, power = total * (1.0 + power), power * power
-        total, power = np.where(step, 1.0 + q * total, total), np.where(step, q * power, power)
-    return np.where(converges, prefactor * total, np.nan)[()]
+    # one n for every cell: where |q| < 1 - 2^-50, |q|^(2^60) <= exp(-2^10)
+    # underflows to 0, so 2^60 terms are the whole series in float64, and
+    # each cell's sum depends on that cell alone
+    total = _partial_sum(q, 2**60)
+    return np.where(np.abs(q) < 1.0 - 2.0**-50, f * f * r_same_partner * e2 * total, np.nan)[()]
 
 
 def dressing_series_deviation(pt: DimensionlessPoint):

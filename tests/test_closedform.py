@@ -19,7 +19,7 @@ from entscat import (
     site_coefficients,
     truncated_amplitudes,
 )
-from entscat.closedform import _bounce_sum
+from entscat.closedform import _bounce_sum, _partial_sum
 from entscat.verify import dressing_series_deviation
 
 XY = ModelKind.SPIN_EXCHANGE
@@ -172,10 +172,23 @@ class TestTruncatedAmplitudes:
     def test_bounce_sum_is_the_exact_geometric_partial_sum(self):
         # exact rational arithmetic: the float literals become rationals
         x, q = sp.symbols("x q")
-        for n in range(6):
-            total = sp.nsimplify(_bounce_sum(x, q, None, n), rational=True)  # a partial sum needs no 1 - q
-            assert sp.cancel(total - x * (1 - q**n) / (1 - q)) == 0, n
-        assert sp.cancel(sp.nsimplify(_bounce_sum(x, q, 1 - q, None), rational=True) - x / (1 - q)) == 0
+        for n in [*range(21), 64]:
+            total = sp.nsimplify(_partial_sum(q, n), rational=True)  # a partial sum needs no 1 - q
+            assert sp.cancel(total - (1 - q**n) / (1 - q)) == 0, n
+        assert sp.cancel(sp.nsimplify(_bounce_sum(x, 1 - q, None), rational=True) - x / (1 - q)) == 0
+
+    def test_a_huge_bounce_count_answers_as_the_full_sum(self):
+        # 10**18 bounces take 60 doublings; where |q| < 1/2 the omitted tail
+        # is below 2**-(10**18), so the cut sum is the closed form in float64
+        rng = np.random.default_rng(7)
+        stack = DimensionlessPoint(*rng.uniform(0.0, 3.0, (2, 400)), rng.uniform(0.0, math.pi, 400), XY)
+        for pt in (DimensionlessPoint(0.8, 1.3, 0.6, XY), stack):
+            square_a, square_b = np.square(pt.omega_a), np.square(pt.omega_b)
+            small = square_a * square_b / ((1.0 + square_a) * (1.0 + square_b)) < 0.5  # |q| = |r_A r_B|
+            assert np.mean(small) > 0.2
+            cut, full = truncated_amplitudes(pt, 10**18), amplitudes(pt)
+            for x, y in zip(cut, full):
+                assert np.all(np.where(small, abs(x - y), 0.0) <= 1e-15)
 
     def test_numpy_integer_order_equals_the_int_one(self):
         pt = DimensionlessPoint(0.8, 1.3, 0.6, XY)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 import time
@@ -174,6 +175,24 @@ class TestUnitConcurrencePhase:
         # 4 omega_a omega_b (1 + omega_b^2) rounds to 0, so the solved phase is +inf
         result = unit_concurrence_phase(omega_a, omega_b)
         assert result == (None, "maximum ratio stays below 1 even at resonance")
+
+    def test_solved_phase_equals_the_exact_one_wherever_float64_holds_it(self):
+        # three points where omega_b^2 overflows (s was NaN, reported
+        # infeasible, or 0), then every pair omega_a < omega_b of the
+        # opacities 10^(x/2), x = -646, -637, ..., 614 (1e-323 to 1e307): the
+        # verdict, and where feasible s within 2 ulps, or within 5e-324 where
+        # s is subnormal
+        powers = [float(10.0 ** mpmath.mpf(x / 2)) for x in range(-646, 617, 9)]
+        pairs = [(1e-200, 1e200), (1e-160, 1e160), (1e-154, 1e154), *itertools.combinations(powers, 2)]
+        with mpmath.workdps(50):
+            for omega_a, omega_b in pairs:
+                a, b = mpmath.mpf(omega_a), mpmath.mpf(omega_b)
+                exact = (b**2 - a**2) / (4 * a**2 * b**2 * (1 + b**2))
+                s = unit_concurrence_phase(omega_a, omega_b).sin2_kd
+                if exact > 1 + 1e-10:
+                    assert s is None, (omega_a, omega_b)
+                elif exact < 1 - 1e-10:
+                    assert s is not None and abs(s - exact) <= 4.5e-16 * exact + 5e-324, (omega_a, omega_b, s)
 
     def test_infeasible_left_of_the_curve(self):
         omega_b = 1.5

@@ -286,6 +286,24 @@ def test_series_matches_a_high_precision_geometric_sum(points):
                 assert error <= 1e-13, (pt, float(error))
 
 
+def test_series_is_within_1e_12_relative_of_the_exact_sum_on_log_uniform_opacities():
+    """Each sum against the exact series of its own float inputs, relative to
+    its size: a series cut by a 1e-14 absolute tail bound was off by up to
+    0.25 relative here, where large opacities make the sum small and long."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(3)
+    omegas = np.exp(rng.uniform(math.log(1e-3), math.log(3e7), (1500, 2)))
+    phases = rng.uniform(0.0, math.pi, 1500)
+    inputs = [args for (omega_a, omega_b), phase in zip(omegas, phases)
+              for args in _series_inputs(DimensionlessPoint(omega_a, omega_b, phase, HEIS))]
+    sums = _series_sigma(*map(np.array, zip(*inputs)))
+    with mpmath.workdps(50):
+        for (f, r_own, r_same_partner, e2), value in zip(inputs, sums):
+            f_, r_, s_, e_ = (mpmath.mpc(z) for z in (f, r_own, r_same_partner, e2))
+            exact = f_ * f_ * s_ * e_ / (1 - r_ * s_ * e_)
+            assert abs(mpmath.mpc(value) - exact) <= 1e-12 * abs(exact), (f, r_own, r_same_partner, e2)
+
+
 def test_near_resonant_points_need_long_series():
     for pt in NEAR_RESONANT:
         f, r_own, r_same_partner, e2 = _series_inputs(pt)[0]
