@@ -263,8 +263,10 @@ def check_opacity(name: str, omega: float) -> float:
     """``omega`` as a Python float; ValidationError unless it is an opacity float64 holds."""
     if type(omega) is float and 0.0 <= omega < math.inf:
         return omega
+    if _is_array(omega) and omega.ndim:
+        raise DomainError(f"{name} must be one opacity, got an array of shape {omega.shape}")
     check_rules((name, omega, opacity_ok(omega), _OPACITY))
-    return _float(name, omega)
+    return _float(name, omega.item() if _is_array(omega) else omega)  # a 0-d array as its one value
 
 
 def check_count(name: str, value, requirement: str = "must be an integer") -> int:

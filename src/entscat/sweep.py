@@ -16,6 +16,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+import shutil
+import tempfile
+import threading
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -202,35 +207,102 @@ def run_truncation(
 _WRITE_BLOCK = 2048  # cells per column formatted and written at once; their text is all held until written
 
 
-def _text_blocks(grid: SweepGrid, as_json: bool):
-    """Each block of up to _WRITE_BLOCK cells as (cell count, each column's
-    slice as text): ``repr`` of each float, with a NaN (undefined) cell as ""
-    (CSV) or every non-finite cell as "null" (JSON).  A slice with the
-    float64 bits of an earlier one in its block reuses that one's text."""
+def _write_blocks(grid: SweepGrid, as_json: bool, start: int, stop: int, fh) -> None:
+    """Write the rows of cells ``start`` (a multiple of _WRITE_BLOCK) to
+    ``stop`` to the binary ``fh``, a block at a time, a JSON block after cell
+    0 led by its ",\\n": each column's slice as ``repr`` of each float, a NaN
+    (undefined) cell as "" (CSV) or a non-finite one as "null" (JSON), and a
+    slice with the float64 bits of an earlier one in its block as its text."""
     null = "null" if as_json else ""
-    cells = math.prod(ax.count for ax in grid.axes)
-    for start in range(0, cells, _WRITE_BLOCK):
-        done, columns = {}, []
+    # row-major coordinates, each axis value formatted once
+    coords = itertools.product(*([repr(float(v)) for v in ax.values()] for ax in grid.axes))
+    coords = itertools.islice(coords, start, stop)
+    for first in range(start, stop, _WRITE_BLOCK):
+        count, done, columns = min(stop - first, _WRITE_BLOCK), {}, []
         for col in grid.columns.values():
-            col = col[start : start + _WRITE_BLOCK]
+            col = col[first : first + count]
             if (key := col.tobytes()) not in done:
                 done[key] = text = list(map(repr, col.tolist()))
                 for i in np.flatnonzero(~np.isfinite(col) if as_json else np.isnan(col)).tolist():
                     text[i] = null
             columns.append(done[key])
-        yield min(cells - start, _WRITE_BLOCK), columns
+        if as_json:
+            rows = "\n  ],\n  [\n   ".join(map(",\n   ".join, zip(*columns)))
+            text = (",\n" if first else "") + (f"  [\n   {rows}\n  ]" if columns else ",\n".join(["  []"] * count))
+        else:
+            text = "\n".join(map(",".join, zip(*zip(*itertools.islice(coords, count)), *columns))) + "\n"
+        fh.write(text.encode())
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _reap(pid: int) -> bool:
+    """Wait for child ``pid``: whether it exited 0 (False where something else reaped it)."""
+    try:
+        return os.waitpid(pid, 0)[1] == 0
+    except ChildProcessError:
+        return False
+
+
+def _write_rows(grid: SweepGrid, as_json: bool, fh) -> None:
+    """Write every cell's row to ``fh``, one range of whole blocks per usable
+    CPU: range 0 here, each later one by a forked child into a temporary
+    file, copied after it in order.  Where a fork fails or a child does not
+    exit 0, this process writes that range."""
+    cells = math.prod(ax.count for ax in grid.axes)
+    blocks = -(-cells // _WRITE_BLOCK)
+    parts = min(blocks, _usable_cpus()) if hasattr(os, "fork") and threading.active_count() == 1 else 1
+    edges = [min(cells, blocks * i // parts * _WRITE_BLOCK) for i in range(parts + 1)]
+    children = []  # [pid, temporary file, start, stop] of each later range; None where not made, pid once reaped
+    try:
+        for start, stop in zip(edges[1:], edges[2:]):
+            pid = tmp = None
+            try:
+                tmp = tempfile.TemporaryFile()
+                # Python >= 3.12 warns at a fork whenever the OS reports other threads, such
+                # as OpenBLAS's idle pool.  The child is safe: no other Python thread exists,
+                # OpenBLAS shuts its pool down in its own pthread_atfork handler, and the
+                # child runs no BLAS and takes no lock that another thread holds.
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                pass
+            if pid == 0:  # the child leaves by os._exit: no flush, unwinding or exit handler runs
+                try:
+                    _write_blocks(grid, as_json, start, stop, tmp)
+                    tmp.flush()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            children.append([pid, tmp, start, stop])
+        _write_blocks(grid, as_json, 0, edges[1], fh)
+        for child in children:
+            pid, tmp, start, stop = child
+            exited_0 = pid is not None and _reap(pid)
+            child[0] = None
+            if exited_0:
+                tmp.seek(0)
+                shutil.copyfileobj(tmp, fh)
+            else:
+                _write_blocks(grid, as_json, start, stop, fh)
+    finally:
+        for pid, tmp, _, _ in children:
+            if pid is not None:
+                _reap(pid)
+            if tmp is not None:
+                tmp.close()
 
 
 def write_csv(grid: SweepGrid, path) -> None:
     meta_line = "# meta: " + ";".join(f"{k}={v}" for k, v in sorted(grid.meta.items()))
     header = ",".join([ax.name for ax in grid.axes] + list(grid.columns))
-    # row-major coordinates, each axis value formatted once
-    coords = itertools.product(*([repr(float(v)) for v in ax.values()] for ax in grid.axes))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(meta_line + "\n" + header + "\n")
-        for count, columns in _text_blocks(grid, as_json=False):
-            lines = zip(*zip(*itertools.islice(coords, count)), *columns)
-            fh.write("\n".join(map(",".join, lines)) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(f"{meta_line}\n{header}\n".encode())
+        _write_rows(grid, False, fh)
 
 
 def write_json(grid: SweepGrid, path) -> None:
@@ -248,14 +320,10 @@ def write_json(grid: SweepGrid, path) -> None:
     }
     # "rows" sorts last, so the encoded document ends with its empty list
     head = json.dumps(document, indent=1, sort_keys=True, allow_nan=False).removesuffix("[]\n}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(head + "[\n")
-        lead = ""
-        for count, columns in _text_blocks(grid, as_json=True):
-            rows = "\n  ],\n  [\n   ".join(map(",\n   ".join, zip(*columns)))
-            fh.write(lead + (f"  [\n   {rows}\n  ]" if columns else ",\n".join(["  []"] * count)))
-            lead = ",\n"
-        fh.write("\n ]\n}\n")
+    with open(path, "wb") as fh:
+        fh.write(f"{head}[\n".encode())
+        _write_rows(grid, True, fh)
+        fh.write(b"\n ]\n}\n")
 
 
 def write_grid(grid: SweepGrid, path, fmt: str) -> None:

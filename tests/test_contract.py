@@ -9,13 +9,16 @@ warns: each call runs with every warning turned into an error.
 The inputs are every kind of number a caller can pass: floats from the
 subnormals to 1.8e308 with both zeros, infinities and NaN, ints up to
 10**400, Fractions, numpy float32 and float64 scalars, bools, and stacks of
-float64 or float32 arrays, whose shapes need not broadcast.  Non-numbers
+float64 or float32 arrays, whose shapes need not broadcast.  An entry that
+takes one opacity gets arrays too: a 0-d array counts as its one value, and
+any other is refused with a DomainError naming its shape.  Non-numbers
 (str, None, complex) are outside the contract: they raise Python's TypeError
 from a comparison.
 """
 
 import contextlib
 import io
+import re
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -169,25 +172,35 @@ def test_to_dimensionless(values, model):
     assert out is None or finite(out.omega_a, out.omega_b, out.phase)
 
 
+def _is_vector(x):
+    """Whether ``x`` is an array of one or more dimensions, which an entry
+    that takes one opacity refuses; a 0-d array counts as its one value."""
+    return isinstance(x, np.ndarray) and x.ndim > 0
+
+
 @EXAMPLES
-@given(NUMBERS, MODELS)
+@given(st.one_of(NUMBERS, ARRAYS), MODELS)
 def test_site_coefficients(omega, model):
-    # it takes one opacity, not a point, so it gets scalars
+    # it takes one opacity, not a point
     out = call(site_coefficients, omega, model, at_point=False)
     assert out is None or finite(out.t, out.r, out.f, out.t_same, out.r_same)
+    assert out is None or not _is_vector(omega)
 
 
 @EXAMPLES
-@given(NUMBERS, NUMBERS)
+@given(st.one_of(NUMBERS, ARRAYS), st.one_of(NUMBERS, ARRAYS))
 def test_optimizer(omega_a, omega_b):
-    # scalar entries get scalars
+    # scalar entries: each field of a report is a Python float
     report = call(optimal_concurrence, omega_a, omega_b, at_point=False)
     if report is not None:
-        assert finite(report.omega_a, report.omega_b, report.phase_choice, report.concurrence, report.probability)
+        values = (report.omega_a, report.omega_b, report.phase_choice, report.concurrence, report.probability)
+        assert all(type(x) is float for x in values) and finite(*values)
         assert 0.0 <= report.phase_choice <= 1.0 and 0.0 <= report.concurrence <= 1.0
     unit = call(unit_concurrence_phase, omega_a, omega_b, at_point=False)
     if unit is not None and unit.sin2_kd is not None:
-        assert 0.0 <= unit.sin2_kd <= 1.0
+        assert type(unit.sin2_kd) is float and 0.0 <= unit.sin2_kd <= 1.0
+    if _is_vector(omega_a) or _is_vector(omega_b):
+        assert report is None and unit is None
 
 
 def run_cli(argv):
@@ -245,6 +258,30 @@ def test_a_stack_that_does_not_broadcast_names_the_shapes():
 def test_site_coefficients_refuse_a_value_float64_cannot_hold(model):
     with pytest.raises(NumericError, match="omega=1e"):
         site_coefficients(1e200, model)
+
+
+@pytest.mark.parametrize(
+    "entry, field",
+    [
+        (lambda v: site_coefficients(v, ModelKind.SPIN_EXCHANGE), "omega"),
+        (lambda v: optimal_concurrence(0.5, v), "omega_b"),
+        (lambda v: unit_concurrence_phase(v, 2.0), "omega_a"),
+    ],
+    ids=["site", "optimizer", "unit-phase"],
+)
+@pytest.mark.parametrize("shape", [(1,), (2,), (2, 1)])
+def test_a_scalar_entry_refuses_an_array_naming_its_field_and_shape(entry, field, shape):
+    with pytest.raises(DomainError, match=rf"{field} must be one opacity, got an array of shape {re.escape(str(shape))}"):
+        entry(np.full(shape, 2.0))
+
+
+def test_a_scalar_entry_takes_a_0d_array_as_its_one_value():
+    assert repr(site_coefficients(np.array(2.0), ModelKind.SPIN_EXCHANGE)) == repr(
+        site_coefficients(2.0, ModelKind.SPIN_EXCHANGE)
+    )
+    report = optimal_concurrence(np.array(0.5), np.array(2.0, dtype=np.float32))
+    assert repr(report) == repr(optimal_concurrence(0.5, 2.0))
+    assert type(report.omega_a) is float and type(report.probability) is float
 
 
 @pytest.mark.parametrize("value", ["1.0", None, 1j])

@@ -4,15 +4,19 @@ The scalar path (``amplitudes``, ``observables_at``) is frozen bit for bit;
 grids run the same closed forms through numpy and must agree with it cell by
 cell within a stated bound; both paths raise typed errors at the first bad
 point; and the streaming writers reproduce the plain ``json``/per-cell
-writers byte for byte.
+writers byte for byte, however many forked processes format the rows.
 """
 
 import cmath
+import errno
 import json
 import math
+import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +45,7 @@ from entscat import (
 )
 from entscat.cli import main
 from entscat.core import point_at, resolve_point
+from entscat import sweep
 from entscat.observables import _observables
 from entscat.sweep import _BLOCK, _WRITE_BLOCK, SweepGrid, make_grid, _resolve_grid
 from entscat.verify import dressing_series_deviation
@@ -584,3 +589,148 @@ def test_grid_refuses_columns_that_do_not_fill_its_axes():
         SweepGrid(axes, {"x": [0.5] * 3, "y": [0.5] * 2}, {})
     with pytest.raises(DomainError, match=r"grid column 'x' has shape \(3, 1\), its axes make \(3,\)"):
         SweepGrid(axes, {"x": np.zeros((3, 1))}, {})
+
+
+# ---------------------------------------------------------------------------
+# a grid of more than one write block is formatted by forked children, one
+# range of whole blocks per usable CPU: the bytes do not depend on how many
+
+
+@pytest.fixture(scope="module")
+def forked_grid():
+    """Five write blocks and a short sixth, with NaN and +-inf cells, a
+    column repeated bit for bit, and the reference bytes of both files."""
+    cells = 105 * 100
+    assert 5 * _WRITE_BLOCK < cells < 6 * _WRITE_BLOCK
+    x = np.arange(cells) / 7
+    x[::11], x[3::13], x[5::17] = math.nan, math.inf, -math.inf
+    y = np.where(np.arange(cells) % 5 == 0, -0.0, np.sqrt(np.arange(cells)))
+    grid = SweepGrid(
+        (Axis("omegaA", 0.0, 3.0, 105), Axis("omegaB", 0.5, 2.0, 100)), {"C_t": x, "P_t": y, "C_r": x.copy()},
+        {"tool": "t"},
+    )
+    return grid, {"csv": reference_csv(grid).encode("utf-8"), "json": reference_json(grid).encode("utf-8")}
+
+
+WRITERS = {"csv": write_csv, "json": write_json}
+
+
+def write_forked(grid, fmt, path):
+    """The bytes ``fmt``'s writer puts in ``path``; no child outlives it."""
+    WRITERS[fmt](grid, path)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return path.read_bytes()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The number of forks made, counted in this process."""
+    made, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: made.append(None) or fork())
+    return made
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_forked_writers_write_the_same_bytes_on_any_cpu_count(forked_grid, fmt, cpus, forks, monkeypatch, tmp_path):
+    grid, expected = forked_grid
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: cpus)
+    assert write_forked(grid, fmt, tmp_path / f"g.{fmt}") == expected[fmt]
+    assert len(forks) == cpus - 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_failing_child_leaves_its_range_to_the_parent(forked_grid, fmt, forks, monkeypatch, tmp_path):
+    grid, expected = forked_grid
+    parent, write_blocks = os.getpid(), sweep._write_blocks
+
+    def fail_in_a_child(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("child")
+        write_blocks(*args)
+
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(sweep, "_write_blocks", fail_in_a_child)
+    assert write_forked(grid, fmt, tmp_path / f"g.{fmt}") == expected[fmt]
+    assert len(forks) == 2
+
+
+def test_a_write_that_raises_reaps_every_child_first(forked_grid, forks, monkeypatch, tmp_path):
+    grid, _ = forked_grid
+    parent, write_blocks = os.getpid(), sweep._write_blocks
+
+    def fail_in_the_parent(*args):
+        if os.getpid() == parent:
+            raise RuntimeError("parent")
+        write_blocks(*args)
+
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(sweep, "_write_blocks", fail_in_the_parent)
+    with pytest.raises(RuntimeError, match="parent"):
+        write_csv(grid, tmp_path / "g.csv")
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("failing", ["os.fork", "tempfile.TemporaryFile"])
+def test_a_fork_or_temporary_file_that_fails_leaves_its_range_to_the_parent(forked_grid, fmt, failing, monkeypatch, tmp_path):
+    grid, expected = forked_grid
+
+    def refuse(*args):
+        raise OSError(errno.EAGAIN, "refused")
+
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(failing, refuse)
+    assert write_forked(grid, fmt, tmp_path / f"g.{fmt}") == expected[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_no_fork_while_another_thread_runs(forked_grid, fmt, monkeypatch, tmp_path):
+    grid, expected = forked_grid
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside a second thread"))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert write_forked(grid, fmt, tmp_path / f"g.{fmt}") == expected[fmt]
+    finally:
+        stop.set()
+        thread.join()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_forked_write_warns_nothing(forked_grid, fmt, forks, monkeypatch, tmp_path):
+    # Python >= 3.12 warns so at a fork where the OS reports other threads,
+    # such as OpenBLAS's pool; here every version does
+    grid, expected = forked_grid
+    fork = os.fork
+
+    def warn_and_fork():
+        message = f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to deadlocks in the child."
+        warnings.warn(message, DeprecationWarning, stacklevel=2)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", warn_and_fork)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert write_forked(grid, fmt, tmp_path / f"g.{fmt}") == expected[fmt]
+    assert len(forks) == 1
+
+
+def test_a_forked_write_streams_to_a_fifo(forked_grid, monkeypatch, tmp_path):
+    grid, expected = forked_grid
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    with open(tmp_path / "copy.csv", "wb") as out:
+        reader = subprocess.Popen(["cat", str(fifo)], stdout=out)
+    try:
+        write_csv(grid, fifo)
+    finally:
+        assert reader.wait(timeout=60) == 0
+    assert (tmp_path / "copy.csv").read_bytes() == expected["csv"]
