@@ -74,7 +74,7 @@ def site_coefficients(omega: float, model: ModelKind) -> SiteCoefficients:
     terms = _site_terms(check_opacity("omega", omega), model)
     if not cmath.isfinite(sum(terms)):  # each term is O(1), so the sum is finite exactly when every term is
         raise NumericError(f"site coefficients are not finite in float64 at omega={omega!r} (model {model.value})")
-    return SiteCoefficients(*map(complex, terms))
+    return SiteCoefficients._make(map(complex, terms))
 
 
 def _dressed(a, b, e2):

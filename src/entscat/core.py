@@ -26,7 +26,6 @@ it.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import functools
 import math
 import operator
@@ -101,8 +100,7 @@ class PhysicalPoint:
     d: float = 1.0
 
 
-@dataclass(frozen=True)
-class SiteCoefficients:
+class SiteCoefficients(NamedTuple):
     """Single-scatterer amplitudes.
 
     t, r, f: transmission, reflection, and spin-flip amplitude when the
@@ -138,26 +136,7 @@ class AmplitudeSet(NamedTuple):
         return sum(abs(z) ** 2 for z in self)
 
 
-def _slot_init(cls):
-    """Give the frozen slotted dataclass ``cls``, declared with ``init=False``
-    and fields without defaults, an ``__init__`` that stores each field
-    through its slot's member descriptor.  It takes the arguments that the
-    generated ``__init__`` would, but skips its ``object.__setattr__`` per
-    field, which costs more than twice as much; one-point queries build a
-    record per call."""
-    names = [f.name for f in dataclasses.fields(cls)]
-    namespace = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
-    body = "".join(f"\n    _set_{name}(self, {name})" for name in names)
-    exec(f"def __init__(self, {', '.join(names)}):{body}", namespace)
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__init__ = init
-    return cls
-
-
-@_slot_init
-@dataclass(frozen=True, slots=True, init=False)
-class ObservableSet:
+class ObservableSet(NamedTuple):
     """Concurrence, amplitude ratio, and detection probability per side.
 
     Concurrence and ratio are ``None`` exactly when both flip amplitudes of
@@ -357,9 +336,9 @@ def resolve_point(params: dict[str, float], model: ModelKind) -> DimensionlessPo
     """The point named by ``params``, in one unit system: physical k, gA, gB
     and optionally d, or dimensionless omegaA, omegaB and one of phase or
     sin2kd; the phase is not folded.  Raises DomainError for a mix, a missing
-    name or a bad value.  Elementwise on numpy arrays that broadcast together:
-    a bad value raises the error that the first bad cell, in row-major order,
-    raises on its own."""
+    name, a bad value or arrays that do not broadcast together.  Elementwise
+    on numpy arrays: a bad value raises the error that the first bad cell, in
+    row-major order, raises on its own."""
     names = set(params)
     physical = names & set(PHYSICAL_NAMES)
     dimensionless = names & set(DIMENSIONLESS_NAMES)
@@ -376,6 +355,7 @@ def resolve_point(params: dict[str, float], model: ModelKind) -> DimensionlessPo
         raise DomainError(f"dimensionless point needs omegaA, omegaB; missing {sorted(missing)}")
     if ("phase" in names) == ("sin2kd" in names):
         raise DomainError("give exactly one of phase or sin2kd")
+    _is_stack(**{name: params[name] for name in DIMENSIONLESS_NAMES if name in params})  # before the rules broadcast them
     s = params.get("sin2kd")
     if s is None:
         phase, rules = params["phase"], ()

@@ -17,11 +17,10 @@ the algebraic root that :func:`find_global_p_opt` returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .core import NumericError, _slot_init, check_opacity
+from .core import NumericError, check_opacity
 from .observables import concurrence, model1_probability, model1_ratio
 
 
@@ -31,9 +30,7 @@ class Regime(Enum):
     RIGHT_REGION = "right"
 
 
-@_slot_init
-@dataclass(frozen=True, slots=True, init=False)
-class OptimalityReport:
+class OptimalityReport(NamedTuple):
     """Best reachable concurrence at fixed couplings, the phase choice
     sin^2(kd) that attains it, and the probability paid for it.  ``reason``
     is None in the unit-concurrence region, else why no phase reaches C = 1

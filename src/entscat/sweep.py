@@ -94,8 +94,9 @@ class SweepGrid:
 
 
 def _check_request(axes: tuple[Axis, ...], fixed: dict[str, float], item: str, requested) -> None:
-    """One or two axes, every parameter name known, and each parameter and
-    each ``requested`` ``item`` (column or bounce order) given once."""
+    """One or two axes, every parameter name known, each fixed parameter one
+    value (a 0-d array counts), and each parameter and each ``requested``
+    ``item`` (column or bounce order) given once."""
     if not 1 <= len(axes) <= 2:
         raise DomainError(f"need 1 or 2 axes, got {len(axes)}")
     seen = [ax.name for ax in axes] + list(fixed)
@@ -105,6 +106,9 @@ def _check_request(axes: tuple[Axis, ...], fixed: dict[str, float], item: str, r
     for name in seen:
         if name not in PHYSICAL_NAMES + DIMENSIONLESS_NAMES:
             raise DomainError(f"unknown parameter {name!r}")
+    for name, value in fixed.items():
+        if isinstance(value, np.ndarray) and value.ndim:
+            raise DomainError(f"{name} must be one value, got an array of shape {value.shape}")
 
 
 def make_grid(

@@ -138,15 +138,19 @@ class TestPointAt:
     ids=type,
 )
 def test_query_records_are_slotted_frozen_and_replaceable(record):
-    # one record per query, so no per-instance __dict__; dataclasses.replace
-    # is how callers derive one record from another
+    # one record per query, so no per-instance __dict__; callers derive one
+    # record from another with dataclasses.replace for a point, a frozen
+    # dataclass, and with _replace for a result, a NamedTuple
     assert not hasattr(record, "__dict__")
-    name = dataclasses.fields(record)[0].name
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    if dataclasses.is_dataclass(record):
+        name, error, replace = dataclasses.fields(record)[0].name, dataclasses.FrozenInstanceError, dataclasses.replace
+    else:
+        name, error, replace = record._fields[0], AttributeError, type(record)._replace
+    with pytest.raises(error):
         setattr(record, name, 0.25)
-    changed = dataclasses.replace(record, **{name: 0.25})
+    changed = replace(record, **{name: 0.25})
     assert type(changed) is type(record) and getattr(changed, name) == 0.25
-    assert dataclasses.replace(changed, **{name: getattr(record, name)}) == record
+    assert replace(changed, **{name: getattr(record, name)}) == record
 
 
 @given(

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import warnings
 
@@ -212,4 +211,4 @@ def test_a_numpy_scalar_point_answers_as_its_python_float_point(model, omega, ph
             return
         want, got = observables_at(plain), observables_at(scalar)
     assert repr(got) == repr(want)
-    assert all(type(v) is float or v is None for v in (getattr(got, f.name) for f in dataclasses.fields(got)))
+    assert all(type(v) is float or v is None for v in (getattr(got, name) for name in got._fields))

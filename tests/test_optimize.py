@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import re
@@ -311,7 +310,7 @@ class TestOptimalConcurrence:
         for convert in (float, np.float64, Fraction):
             report = optimal_concurrence(convert(omega_a), convert(omega_b))
             assert report == expected
-            numeric = (f.name for f in dataclasses.fields(report) if f.name not in ("regime", "reason"))
+            numeric = (name for name in report._fields if name not in ("regime", "reason"))
             assert all(type(getattr(report, name)) is float for name in numeric)
 
     @pytest.mark.parametrize("omega_b", [0.3, 1.0, 2.5])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import entscat.sweep
 from entscat import (
     Axis,
     DomainError,
@@ -64,6 +66,19 @@ class TestPointFromParams:
         pt = resolve_point({"omegaA": 1.0, "omegaB": 1.0, "sin2kd": 1.0}, XY)
         assert pt.phase == pytest.approx(math.pi / 2, rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "params, shapes",
+        [
+            ({"omegaA": np.ones(2), "omegaB": np.ones(3), "phase": 0.5}, "'omegaA': (2,), 'omegaB': (3,)"),
+            ({"omegaA": np.ones(2), "omegaB": 1.0, "sin2kd": np.full(3, 0.5)}, "'omegaA': (2,), 'sin2kd': (3,)"),
+            ({"k": np.ones(2), "gA": np.ones(3), "gB": 1.0}, "'k': (2,), 'g_a': (3,)"),
+        ],
+        ids=["phase", "sin2kd", "physical"],
+    )
+    def test_arrays_that_do_not_broadcast_name_their_shapes(self, params, shapes):
+        with pytest.raises(DomainError, match=re.escape(f"do not broadcast together: shapes {{{shapes}}}")):
+            resolve_point(params, XY)
+
 
 class TestRunScan:
     def test_degenerate_scan_matches_point_evaluation(self):
@@ -101,6 +116,23 @@ class TestRunScan:
     def test_duplicate_parameter_rejected(self):
         with pytest.raises(DomainError, match="twice"):
             run_scan((Axis("k", 1.0, 2.0, 3),), {"k": 1.0, "gA": 1.0, "gB": 1.0}, XY)
+
+    @pytest.mark.parametrize(
+        "entry, name",
+        [
+            (lambda fixed: run_scan((Axis("omegaA", 0.0, 1.0, 3),), {"phase": 0.5, **fixed}, XY), "omegaB"),
+            (lambda fixed: run_truncation(Axis("k", 0.1, 1.0, 3), {"gA": 1.0, **fixed}, (0, 1)), "gB"),
+        ],
+        ids=["scan", "truncation"],
+    )
+    def test_an_array_fixed_parameter_is_refused_before_evaluation(self, entry, name, monkeypatch):
+        want, got = entry({name: 2.0}), entry({name: np.array(2.0)})  # a 0-d array is its one value
+        assert got.meta == want.meta
+        assert all(got.columns[c].tobytes() == want.columns[c].tobytes() for c in want.columns)
+        monkeypatch.setattr(entscat.sweep, "_resolve_grid", lambda *args: pytest.fail("the grid was evaluated"))
+        for shape in [(1,), (2,), (2, 1)]:
+            with pytest.raises(DomainError, match=re.escape(f"{name} must be one value, got an array of shape {shape}")):
+                entry({name: np.full(shape, 2.0)})
 
     def test_truncation_rejects_unknown_parameter(self):
         with pytest.raises(DomainError, match="unknown parameter 'bogus'"):
