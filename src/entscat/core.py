@@ -30,7 +30,7 @@ import functools
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -100,6 +100,16 @@ class PhysicalPoint:
     d: float = 1.0
 
 
+def _dataclass_fields(cls):
+    """Give the NamedTuple record ``cls`` the fields table that ``dataclasses.fields`` and ``dataclasses.replace``
+    read, so code written when three of the records were dataclasses keeps working."""
+    doc = {"__doc__": cls.__doc__}  # spares make_dataclass formatting a signature as the docstring
+    shadow = make_dataclass(cls.__name__, cls.__annotations__.items(), namespace=doc, init=False, repr=False, eq=False)
+    cls.__dataclass_fields__ = shadow.__dataclass_fields__
+    return cls
+
+
+@_dataclass_fields
 class SiteCoefficients(NamedTuple):
     """Single-scatterer amplitudes.
 
@@ -117,6 +127,7 @@ class SiteCoefficients(NamedTuple):
     r_same: complex
 
 
+@_dataclass_fields
 class AmplitudeSet(NamedTuple):
     """Two-site transmission/reflection amplitudes for the three open
     channels, with unit incident normalization.  All channels share the
@@ -136,6 +147,7 @@ class AmplitudeSet(NamedTuple):
         return sum(abs(z) ** 2 for z in self)
 
 
+@_dataclass_fields
 class ObservableSet(NamedTuple):
     """Concurrence, amplitude ratio, and detection probability per side.
 
@@ -238,12 +250,17 @@ def check_point(pt: DimensionlessPoint, *rules) -> None:
     )
 
 
+def check_single(name: str, value, what: str) -> None:
+    """DomainError naming ``name`` and the shape if ``value`` is an array of one or more dimensions."""
+    if _is_array(value) and value.ndim:
+        raise DomainError(f"{name} must be one {what}, got an array of shape {value.shape}")
+
+
 def check_opacity(name: str, omega: float) -> float:
     """``omega`` as a Python float; ValidationError unless it is an opacity float64 holds."""
     if type(omega) is float and 0.0 <= omega < math.inf:
         return omega
-    if _is_array(omega) and omega.ndim:
-        raise DomainError(f"{name} must be one opacity, got an array of shape {omega.shape}")
+    check_single(name, omega, "opacity")
     check_rules((name, omega, opacity_ok(omega), _OPACITY))
     return _float(name, omega.item() if _is_array(omega) else omega)  # a 0-d array as its one value
 

@@ -20,7 +20,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .core import NumericError, check_opacity
+from .core import NumericError, _dataclass_fields, check_opacity
 from .observables import concurrence, model1_probability, model1_ratio
 
 
@@ -30,6 +30,7 @@ class Regime(Enum):
     RIGHT_REGION = "right"
 
 
+@_dataclass_fields
 class OptimalityReport(NamedTuple):
     """Best reachable concurrence at fixed couplings, the phase choice
     sin^2(kd) that attains it, and the probability paid for it.  ``reason``
@@ -45,6 +46,7 @@ class OptimalityReport(NamedTuple):
     reason: str | None
 
 
+@_dataclass_fields
 class UnitPhase(NamedTuple):
     """Result of the unit-concurrence phase equation; ``sin2_kd`` is None
     when no phase can reach a = 1, with ``reason`` saying why."""

@@ -36,6 +36,7 @@ from .core import (
     DomainError,
     ModelKind,
     check_count,
+    check_single,
     resolve_point,
     validate,
 )
@@ -106,9 +107,7 @@ def _check_request(axes: tuple[Axis, ...], fixed: dict[str, float], item: str, r
     for name in seen:
         if name not in PHYSICAL_NAMES + DIMENSIONLESS_NAMES:
             raise DomainError(f"unknown parameter {name!r}")
-    for name, value in fixed.items():
-        if isinstance(value, np.ndarray) and value.ndim:
-            raise DomainError(f"{name} must be one value, got an array of shape {value.shape}")
+        check_single(name, fixed.get(name), "value")  # None for an axis
 
 
 def make_grid(

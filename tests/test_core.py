@@ -139,18 +139,20 @@ class TestPointAt:
 )
 def test_query_records_are_slotted_frozen_and_replaceable(record):
     # one record per query, so no per-instance __dict__; callers derive one
-    # record from another with dataclasses.replace for a point, a frozen
-    # dataclass, and with _replace for a result, a NamedTuple
+    # record from another with dataclasses.replace, for a point (a frozen
+    # dataclass) and a result (a NamedTuple) alike, and with _replace for a result
     assert not hasattr(record, "__dict__")
-    if dataclasses.is_dataclass(record):
-        name, error, replace = dataclasses.fields(record)[0].name, dataclasses.FrozenInstanceError, dataclasses.replace
+    name = dataclasses.fields(record)[0].name
+    if isinstance(record, tuple):
+        error, replaces = AttributeError, (dataclasses.replace, type(record)._replace)
     else:
-        name, error, replace = record._fields[0], AttributeError, type(record)._replace
+        error, replaces = dataclasses.FrozenInstanceError, (dataclasses.replace,)
     with pytest.raises(error):
         setattr(record, name, 0.25)
-    changed = replace(record, **{name: 0.25})
-    assert type(changed) is type(record) and getattr(changed, name) == 0.25
-    assert replace(changed, **{name: getattr(record, name)}) == record
+    for replace in replaces:
+        changed = replace(record, **{name: 0.25})
+        assert type(changed) is type(record) and getattr(changed, name) == 0.25
+        assert replace(changed, **{name: getattr(record, name)}) == record
 
 
 @given(

@@ -6,7 +6,9 @@ Every value that a physics entry returns is one of five records built by
 them to that contract: positional and keyword construction, ``TypeError`` on
 a bad argument list, ``_replace``, equality, hashing and ``repr`` of a
 rebuilt record, pickling and copying, unpacking, and immutable,
-``__dict__``-free instances.
+``__dict__``-free instances.  ``dataclasses.fields`` and
+``dataclasses.replace`` take them too, as they did when some were
+dataclasses.
 
 They import only the standard library and entscat, which loads no numpy at
 one point, so they also run as a script on an interpreter that has neither
@@ -16,6 +18,7 @@ numpy nor pytest:
 """
 
 import copy
+import dataclasses
 import inspect
 import pickle
 
@@ -95,6 +98,16 @@ def test_replace_equality_hash_and_repr_match_a_rebuilt_record():
             assert type(other) is type(record)
             assert other == record and hash(other) == hash(record) and repr(other) == repr(record)
         assert record._replace(**{first: -1.0}) != record
+
+
+def test_dataclasses_fields_and_replace_take_a_record():
+    for record in RECORDS:
+        assert tuple(f.name for f in dataclasses.fields(record)) == record._fields
+        first = record._fields[0]
+        replaced = dataclasses.replace(record, **{first: -1.0})
+        assert type(replaced) is type(record) and replaced == record._replace(**{first: -1.0})
+        assert dataclasses.replace(record) == record
+        assert raises(TypeError, dataclasses.replace, record, extra=0.0)
 
 
 def test_a_record_unpacks_and_equals_the_tuple_of_its_values():
