@@ -40,7 +40,6 @@ from .core import (
     UnsupportedModelError,
     check_count,
     check_opacity,
-    check_rules,
     point_at,
     validate,
 )
@@ -223,7 +222,5 @@ def truncated_amplitudes(pt: DimensionlessPoint, n: int) -> AmplitudeSet:
     pt = validate(pt)
     if pt.model is not ModelKind.SPIN_EXCHANGE:
         raise UnsupportedModelError("bounce truncation is defined for the exchange model only")
-    requirement = "must be a non-negative integer"
-    n = check_count("bounce count", n, requirement)
-    check_rules(("bounce count", n, n >= 0, requirement))
+    n = check_count("bounce count", n, 0)
     return AmplitudeSet._make(_finite(pt, _closed_forms, n))

@@ -212,16 +212,6 @@ def opacity_ok(omega):
 _OPACITY = "must be finite and non-negative"
 
 
-def first_cell(bad, *arrays):
-    """The values of ``arrays`` at the first cell, in row-major order, where
-    ``bad`` is true, all broadcast together; as Python scalars."""
-    import numpy as np
-
-    bad, *arrays = np.broadcast_arrays(bad, *arrays)
-    index = int(np.argmax(bad))
-    return [a.item(index) for a in arrays]  # item, not [index].item(): an int beyond int64 is an object
-
-
 def check_rules(*rules):
     """Raise ValidationError for the first failing rule, each a (name, value,
     ok, requirement) with ``ok`` the verdict on ``value``.  Elementwise: where
@@ -234,7 +224,11 @@ def check_rules(*rules):
             names, values, oks, requirements = zip(*rules[i:])
             bad = ~functools.reduce(operator.and_, oks)
             if bad.any():
-                cell = first_cell(bad, *values, *oks)
+                import numpy as np
+
+                bad, *arrays = np.broadcast_arrays(bad, *values, *oks)
+                index = int(np.argmax(bad))
+                cell = [a.item(index) for a in arrays]  # item, not [index].item(): an int beyond int64 is an object
                 check_rules(*zip(names, cell[: len(oks)], cell[len(oks):], requirements))
             return
 
@@ -265,16 +259,14 @@ def check_opacity(name: str, omega: float) -> float:
     return _float(name, omega.item() if _is_array(omega) else omega)  # a 0-d array as its one value
 
 
-def check_count(name: str, value, requirement: str = "must be an integer") -> int:
-    """``value`` as a Python int, or ValidationError ("``name`` ``requirement``")
-    unless it is an integer; numpy integers count, as :func:`operator.index`
-    takes them, and bools do not."""
-    try:
-        if not isinstance(value, bool):
-            return operator.index(value)
-    except TypeError:
-        pass
-    check_rules((name, value, False, requirement))
+def check_count(name: str, value, least: int) -> int:
+    """``value`` as a Python int, or ValidationError unless it is an integer
+    >= ``least``; numpy integers count, as :func:`operator.index` takes them,
+    and bools do not."""
+    with contextlib.suppress(TypeError):
+        if not isinstance(value, bool) and (count := operator.index(value)) >= least:
+            return count
+    raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def validate(pt: DimensionlessPoint) -> DimensionlessPoint:

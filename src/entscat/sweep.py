@@ -53,9 +53,7 @@ class Axis:
     count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "count", check_count(f"axis {self.name!r} count", self.count))
-        if self.count < 2:
-            raise DomainError(f"axis {self.name!r} needs count >= 2, got {self.count}")
+        object.__setattr__(self, "count", check_count(f"axis {self.name!r} count", self.count, 2))
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise DomainError(f"axis {self.name!r} range must be finite")
         object.__setattr__(self, "start", float(self.start))

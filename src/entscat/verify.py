@@ -11,7 +11,7 @@ import numpy as np
 
 from .closedform import _dressed, _partial_sum, _site_terms, amplitudes
 from .core import DimensionlessPoint, ModelKind, NumericError, UnsupportedModelError
-from .core import check_count, check_rules, point_at, validate
+from .core import check_count, point_at, validate
 from .matching import solve_amplitudes_numeric
 from .observables import _observables
 
@@ -143,9 +143,7 @@ def run_verification(
     Each model's samples are checked as one stack.  Raises DomainError for
     a count that is not an integer, fewer than one sample or a negative seed.
     """
-    samples = check_count("samples", samples)
-    seed = check_count("seed", seed)
-    check_rules(("samples", samples, samples >= 1, "must be >= 1"), ("seed", seed, seed >= 0, "must be >= 0"))
+    samples, seed = check_count("samples", samples, 1), check_count("seed", seed, 0)
     report = VerificationReport(samples_per_model=samples, seed=seed)
     for model in models:
         stack = sample_points(model, samples, seed)

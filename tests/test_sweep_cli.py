@@ -13,6 +13,7 @@ from entscat import (
     Axis,
     DomainError,
     ModelKind,
+    ValidationError,
     observables_at,
     run_scan,
     run_truncation,
@@ -37,7 +38,7 @@ class TestAxis:
         assert vals[-1] == 10.0
 
     def test_count_below_two_rejected(self, tmp_path):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError, match=r"^axis 'k' count must be an integer >= 2, got 1$"):
             Axis("k", 0.0, 1.0, 1)
         for count in (2.5, 3.0, "3", None, True):
             with pytest.raises(DomainError, match=r"axis 'k' count must be an integer"):
