@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .core import AmplitudeSet, DimensionlessPoint, ModelKind, NumericError, point_at, validate
+from .core import AmplitudeSet, DimensionlessPoint, ModelKind, NumericError, UnsupportedModelError, point_at, validate
 
 # Exchange coupling swaps the mediator spin with the site spin, connecting
 # the no-flip channel to the channel where that site is flipped.
@@ -70,6 +70,8 @@ def _matching_system(pt: DimensionlessPoint):
     """(M, b, E, 1/E) at the validated point ``pt``: the system of
     :func:`build_matching_system` and its phase factors E = exp(ikd) and
     1/E = exp(-ikd) at k = 1, d = ``phase``, one per cell."""
+    if not isinstance(pt.model, ModelKind):
+        raise UnsupportedModelError(f"unknown model {pt.model!r}")
     m_a, m_b = _COUPLINGS[pt.model]
     omega_a, omega_b, phase = np.broadcast_arrays(pt.omega_a, pt.omega_b, pt.phase)
     factors = np.exp(1j * phase), np.exp(-1j * phase)

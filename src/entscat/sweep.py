@@ -35,6 +35,7 @@ from .core import (
     DimensionlessPoint,
     DomainError,
     ModelKind,
+    _float,
     check_count,
     check_single,
     resolve_point,
@@ -54,10 +55,10 @@ class Axis:
 
     def __post_init__(self):
         object.__setattr__(self, "count", check_count(f"axis {self.name!r} count", self.count, 2))
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+        if not (abs(self.start) < math.inf and abs(self.stop) < math.inf):  # a non-number raises TypeError here
             raise DomainError(f"axis {self.name!r} range must be finite")
-        object.__setattr__(self, "start", float(self.start))
-        object.__setattr__(self, "stop", float(self.stop))
+        object.__setattr__(self, "start", float(_float(self.name, self.start)))  # a 0-d array as its one value
+        object.__setattr__(self, "stop", float(_float(self.name, self.stop)))
         if not math.isfinite(self.stop - self.start):
             raise DomainError(f"axis {self.name!r} span stop - start is not finite in float64")
 

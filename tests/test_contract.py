@@ -1,4 +1,5 @@
-"""The error contract of every public entry that takes a point or an opacity.
+"""The error contract of every public entry that takes a point or an opacity,
+and of a sweep axis.
 
 A call returns finite values, or None, NaN or inf where its docstring says
 so, or it raises DomainError, NumericError or UnsupportedModelError; a
@@ -31,6 +32,7 @@ from hypothesis.extra import numpy as hnp
 
 from entscat import (
     AmplitudeSet,
+    Axis,
     DimensionlessPoint,
     DomainError,
     ModelKind,
@@ -43,6 +45,7 @@ from entscat import (
     dressed_coefficients,
     observables_at,
     optimal_concurrence,
+    run_verification,
     site_coefficients,
     solve_amplitudes_numeric,
     to_dimensionless,
@@ -165,11 +168,52 @@ def test_build_matching_system(pt):
         assert finite(rhs) and not np.isnan(matrix).any()  # an opacity near 1.8e308 overflows an entry to inf
 
 
+NOT_MODELS = st.sampled_from(["xy", "heis", None, 0, ("xy",)])
+
+
+@EXAMPLES
+@given(st.one_of(fields(3, False), fields(3, True)), NOT_MODELS)
+def test_a_model_that_is_not_a_model_kind(values, model):
+    # every entry that computes with the model refuses it; to_dimensionless only carries it
+    pt = DimensionlessPoint(*values, model)
+    for entry in (amplitudes, solve_amplitudes_numeric, build_matching_system, observables_at, dressed_coefficients):
+        assert call(entry, pt) is None, entry
+    assert call(truncated_amplitudes, pt, 3) is None
+    assert call(site_coefficients, values[0], model, at_point=False) is None
+    out = call(to_dimensionless, PhysicalPoint(*values), model)
+    assert out is None or out.model is model
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [amplitudes, solve_amplitudes_numeric, build_matching_system, lambda pt: run_verification(3, 1, (pt.model,))],
+    ids=["closed", "numeric", "system", "verify"],
+)
+def test_an_unknown_model_is_an_unsupported_model_error(entry):
+    with pytest.raises(UnsupportedModelError, match=r"^unknown model 'xy'$"):
+        entry(DimensionlessPoint(1.0, 2.0, 0.5, "xy"))
+
+
 @EXAMPLES
 @given(st.one_of(fields(4, False), fields(4, True)), MODELS)
 def test_to_dimensionless(values, model):
     out = call(to_dimensionless, PhysicalPoint(*values), model)
     assert out is None or finite(out.omega_a, out.omega_b, out.phase)
+
+
+@EXAMPLES
+@given(NUMBERS, NUMBERS, st.one_of(st.integers(-2, 6), st.booleans(), st.integers(0, 6).map(np.int64), NUMBERS))
+def test_axis(start, stop, count):
+    # a sweep axis: its ends are numbers as a point's fields are, its count an integer >= 2
+    ax = call(Axis, "k", start, stop, count, at_point=False)
+    if ax is not None:
+        assert type(ax.start) is float and type(ax.stop) is float and type(ax.count) is int and ax.count >= 2
+        assert finite(ax.start, ax.stop, ax.stop - ax.start)
+
+
+def test_an_axis_end_beyond_float64_names_its_axis():
+    with pytest.raises(ValidationError, match=r"^k must lie within the float64 range"):
+        Axis("k", 10**400, 1.0, 3)
 
 
 def _is_vector(x):
