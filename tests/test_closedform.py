@@ -51,6 +51,10 @@ class TestSiteCoefficients:
         assert c.t_same == pytest.approx(0.5 - 0.5j, abs=1e-15)
         assert c.r_same == pytest.approx(-0.5 - 0.5j, abs=1e-15)
 
+    def test_unknown_model(self):
+        with pytest.raises(UnsupportedModelError, match=r"^unknown model 'xy'$"):
+            site_coefficients(1.0, "xy")
+
     @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
     def test_bad_opacity(self, bad):
         with pytest.raises(DomainError):

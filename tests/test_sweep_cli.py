@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import entscat.sweep
+import entscat.verify
 from entscat import (
     Axis,
     DomainError,
@@ -22,7 +23,8 @@ from entscat import (
     write_json,
 )
 from entscat.cli import build_parser, main
-from entscat.core import resolve_point
+from entscat.core import point_at, resolve_point
+from entscat.sweep import write_grid
 
 XY = ModelKind.SPIN_EXCHANGE
 HEIS = ModelKind.HEISENBERG_CONTACT
@@ -50,6 +52,11 @@ class TestAxis:
 
     def test_degenerate_range_allowed(self):
         assert Axis("k", 3.0, 3.0, 2).values() == [3.0, 3.0]
+
+    @pytest.mark.parametrize("start, stop", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+    def test_non_finite_range_rejected(self, start, stop):
+        with pytest.raises(DomainError, match=r"^axis 'k' range must be finite$"):
+            Axis("k", start, stop, 3)
 
 
 class TestPointFromParams:
@@ -141,6 +148,12 @@ class TestRunScan:
 
 
 class TestSerialization:
+    def test_unknown_format_rejected(self, tmp_path):
+        grid = run_truncation(Axis("k", 0.5, 3.0, 3), {"gA": 3.0, "gB": 3.0}, (0,))
+        with pytest.raises(DomainError, match=r"^unknown format 'xml'$"):
+            write_grid(grid, tmp_path / "g.xml", "xml")
+        assert not (tmp_path / "g.xml").exists()
+
     def test_csv_layout_and_determinism(self, tmp_path):
         grid = run_truncation(Axis("k", 0.5, 3.0, 7), {"gA": 3.0, "gB": 3.0}, (0, 1, 3))
         first = tmp_path / "a.csv"
@@ -306,6 +319,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "xy:" not in out
 
+    def test_a_failing_verify_prints_its_worst_point_and_exits_1(self, monkeypatch, capsys):
+        def planted(stack):
+            deviations = np.zeros(np.shape(stack.phase))
+            deviations[1] = 1.0
+            return [("planted", 1e-12, deviations)]
+
+        monkeypatch.setattr(entscat.verify, "_deviations", planted)
+        assert run_cli("verify", "--samples", "3", "--seed", "1", "--model", "xy") == 1
+        worst = point_at(entscat.verify.sample_points(XY, 3, 1), 1)
+        assert capsys.readouterr().out.splitlines() == [
+            "FAIL xy: planted: max deviation 1.0 (tolerance 1e-12)",
+            f"     worst point: {worst!r}",
+            "FAIL overall (3 samples/model, seed 1)",
+        ]
+
 
 class TestCliUsageErrors:
     @pytest.mark.parametrize(
@@ -318,8 +346,11 @@ class TestCliUsageErrors:
             ["point", "--k", "1", "--omegaA", "1", "--omegaB", "1", "--phase", "1"],  # mixed
             ["point", "--gA", "1", "--gB", "1", "--k", "-3"],  # domain error
             ["scan", "--gA", "3", "--gB", "3", "--axis", "nope"],  # bad axis syntax
-            ["truncate", "--model", "heis", "--gA", "1", "--gB", "1", "--axis", "k=1:2:5", "--n", "0"],
-            ["truncate", "--model", "xy", "--gA", "1", "--gB", "1", "--axis", "k=1:2:5", "--n", "0,-2"],
+            # with --out, so that the handler is reached and not argparse's missing-argument error
+            ["truncate", "--model", "heis", "--gA", "1", "--gB", "1", "--axis", "k=1:2:5", "--n", "0",
+             "--out", "/nonexistent-dir/t.csv"],
+            ["truncate", "--model", "xy", "--gA", "1", "--gB", "1", "--axis", "k=1:2:5", "--n", "0,-2",
+             "--out", "/nonexistent-dir/t.csv"],
             ["optimize", "report"],  # missing omegas
             ["optimize", "popt", "--omegaA", "1"],  # popt reads no omegas
             ["optimize", "popt", "--omegaB", "1"],
@@ -344,6 +375,27 @@ class TestCliUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["truncate", "--model", "heis", "--axis", "k=1:2:5", "--n", "0"],
+             "truncate supports the exchange model only (--model xy)"),
+            (["truncate", "--axis", "k=1:2:5", "--n", "1,x"], "bad --n '1,x': expected comma-separated integers"),
+            (["truncate", "--axis", "k=1:2:5", "--n", "0,-2"], "bounce count must be an integer >= 0, got -2"),
+            (["truncate", "--axis", "k=1:inf:5", "--n", "0"], "bad --axis 'k=1:inf:5': axis 'k' range must be finite"),
+            (["scan", "--axis", "k=1:2:1"], "bad --axis 'k=1:2:1': axis 'k' count must be an integer >= 2, got 1"),
+            (["verify", "--samples", "0"], "samples must be an integer >= 1, got 0"),
+            (["verify", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+        ],
+    )
+    def test_a_usage_error_reaches_its_handler_and_names_the_fault(self, argv, message, capsys):
+        if argv[0] != "verify":  # a bad path makes a missed rejection fail too
+            argv = argv + ["--gA", "1", "--gB", "1", "--out", "/nonexistent-dir/t.csv"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(f"entscat: error: {message}\n")
 
     def test_each_subcommand_accepts_only_the_flags_it_reads(self):
         params = {"--k", "--gA", "--gB", "--d", "--omegaA", "--omegaB", "--phase", "--sin2kd"}
