@@ -224,10 +224,8 @@ def check_rules(*rules):
             names, values, oks, requirements = zip(*rules[i:])
             bad = ~functools.reduce(operator.and_, oks)
             if bad.any():
-                import numpy as np
-
-                bad, *arrays = np.broadcast_arrays(bad, *values, *oks)
-                index = int(np.argmax(bad))
+                bad, *arrays = sys.modules["numpy"].broadcast_arrays(bad, *values, *oks)  # loaded: numpy made the verdicts
+                index = int(bad.argmax())
                 cell = [a.item(index) for a in arrays]  # item, not [index].item(): an int beyond int64 is an object
                 check_rules(*zip(names, cell[: len(oks)], cell[len(oks):], requirements))
             return
