@@ -260,10 +260,10 @@ def check_opacity(name: str, omega: float) -> float:
 def check_count(name: str, value, least: int) -> int:
     """``value`` as a Python int, or ValidationError unless it is an integer
     >= ``least``; numpy integers count, as :func:`operator.index` takes them,
-    and bools do not."""
+    and bools do not; the error shows a numpy integer as a Python int."""
     with contextlib.suppress(TypeError):
-        if not isinstance(value, bool) and (count := operator.index(value)) >= least:
-            return count
+        if not isinstance(value, bool) and (value := operator.index(value)) >= least:
+            return value
     raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 

@@ -195,8 +195,9 @@ def test_battery_rejects_fewer_than_one_sample(samples):
 
 
 def test_battery_rejects_a_negative_seed():
-    with pytest.raises(DomainError, match=r"seed must be an integer >= 0, got -1"):
-        run_verification(1, -1)
+    for seed in (-1, np.int64(-1)):  # a numpy integer shows as a Python int
+        with pytest.raises(DomainError, match=r"seed must be an integer >= 0, got -1$"):
+            run_verification(1, seed)
     with pytest.raises(DomainError, match=r"seed must be an integer >= 0, got 2\.5"):
         run_verification(5, 2.5)
     report = run_verification(np.int64(3), np.int64(1))  # numpy integers are counts, kept as Python ints
