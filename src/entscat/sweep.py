@@ -55,6 +55,8 @@ class Axis:
 
     def __post_init__(self):
         object.__setattr__(self, "count", check_count(f"axis {self.name!r} count", self.count, 2))
+        for end in (self.start, self.stop):
+            check_single(self.name, end, "value")
         if not (abs(self.start) < math.inf and abs(self.stop) < math.inf):  # a non-number raises TypeError here
             raise DomainError(f"axis {self.name!r} range must be finite")
         object.__setattr__(self, "start", float(_float(self.name, self.start)))  # a 0-d array as its one value

@@ -201,25 +201,26 @@ def test_to_dimensionless(values, model):
     assert out is None or finite(out.omega_a, out.omega_b, out.phase)
 
 
+def _is_vector(x):
+    """Whether ``x`` is an array of one or more dimensions, which an entry
+    that takes one opacity refuses; a 0-d array counts as its one value."""
+    return isinstance(x, np.ndarray) and x.ndim > 0
+
+
 @EXAMPLES
-@given(NUMBERS, NUMBERS, st.one_of(st.integers(-2, 6), st.booleans(), st.integers(0, 6).map(np.int64), NUMBERS))
+@given(st.one_of(NUMBERS, ARRAYS), NUMBERS, st.one_of(st.integers(-2, 6), st.booleans(), st.integers(0, 6).map(np.int64), NUMBERS))
 def test_axis(start, stop, count):
-    # a sweep axis: its ends are numbers as a point's fields are, its count an integer >= 2
+    # a sweep axis: its ends are numbers as a point's fields are (an array of one or more
+    # dimensions is refused, naming its shape), its count an integer >= 2
     ax = call(Axis, "k", start, stop, count, at_point=False)
     if ax is not None:
         assert type(ax.start) is float and type(ax.stop) is float and type(ax.count) is int and ax.count >= 2
-        assert finite(ax.start, ax.stop, ax.stop - ax.start)
+        assert finite(ax.start, ax.stop, ax.stop - ax.start) and not _is_vector(start)
 
 
 def test_an_axis_end_beyond_float64_names_its_axis():
     with pytest.raises(ValidationError, match=r"^k must lie within the float64 range"):
         Axis("k", 10**400, 1.0, 3)
-
-
-def _is_vector(x):
-    """Whether ``x`` is an array of one or more dimensions, which an entry
-    that takes one opacity refuses; a 0-d array counts as its one value."""
-    return isinstance(x, np.ndarray) and x.ndim > 0
 
 
 @EXAMPLES
