@@ -41,7 +41,6 @@ from .optimize import (
     UnitPhase,
     find_global_p_opt,
     optimal_concurrence,
-    probability_at_resonance,
     unit_concurrence_phase,
 )
 
@@ -95,7 +94,6 @@ __all__ = [
     "model1_ratio",
     "observables_at",
     "optimal_concurrence",
-    "probability_at_resonance",
     "run_scan",
     "run_truncation",
     "run_verification",

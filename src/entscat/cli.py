@@ -35,11 +35,9 @@ from .core import (
 from .observables import _observables
 from .optimize import find_global_p_opt, optimal_concurrence
 
-_MODELS = {"xy": ModelKind.SPIN_EXCHANGE, "heis": ModelKind.HEISENBERG_CONTACT}
-
 
 def _add_model(parser: argparse.ArgumentParser, default: str | None = "xy") -> None:
-    parser.add_argument("--model", choices=sorted(_MODELS), default=default,
+    parser.add_argument("--model", choices=sorted(m.value for m in ModelKind), default=default,
                         help="coupling model" + (" (default: %(default)s)" if default else " (default: all)"))
 
 
@@ -63,12 +61,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_point = sub.add_parser("point", help="evaluate one parameter point")
+    p_point.set_defaults(run=_cmd_point)
     _add_model(p_point)
     _add_params(p_point)
     p_point.add_argument("--side", choices=("t", "r", "both"), default="both",
                          help="detection side(s) to print (default: both)")
 
     p_scan = sub.add_parser("scan", help="1D/2D observable sweep to a file")
+    p_scan.set_defaults(run=_cmd_scan)
     _add_model(p_scan)
     _add_params(p_scan)
     _add_output(p_scan)
@@ -78,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma list of observable columns (default: %(default)s)")
 
     p_trunc = sub.add_parser("truncate", help="bounce-truncated observables along an axis")
+    p_trunc.set_defaults(run=_cmd_truncate)
     _add_model(p_trunc)
     _add_params(p_trunc)
     _add_output(p_trunc)
@@ -86,11 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma list of bounce counts to keep")
 
     p_opt = sub.add_parser("optimize", help="optimality reports (exchange model)")
+    p_opt.set_defaults(run=_cmd_optimize)
     p_opt.add_argument("target", choices=("popt", "report"))
     p_opt.add_argument("--omegaA", type=float, default=None)
     p_opt.add_argument("--omegaB", type=float, default=None)
 
     p_verify = sub.add_parser("verify", help="closed-form vs numeric cross-validation")
+    p_verify.set_defaults(run=_cmd_verify)
     _add_model(p_verify, default=None)
     p_verify.add_argument("--seed", type=int, default=7, help="sampling seed (default: %(default)s)")
     p_verify.add_argument("--samples", type=int, default=1000)
@@ -109,7 +112,7 @@ def _fmt(value) -> str:
 
 
 def _cmd_point(parser, args) -> int:
-    pt = validate(resolve_point(_collect_params(args), _MODELS[args.model]))
+    pt = validate(resolve_point(_collect_params(args), ModelKind(args.model)))
     amps = amplitudes(pt)
     obs = _observables(amps)
     s = math.sin(pt.phase)
@@ -139,7 +142,7 @@ def _parse_axis(parser, text: str):
         name, rest = text.split("=", 1)
         start, stop, count = rest.split(":")
         return Axis(name.strip(), float(start), float(stop), int(count))
-    except (ValueError, DomainError) as exc:
+    except ValueError as exc:  # DomainError is a ValueError
         parser.error(f"bad --axis {text!r}: {exc}")
 
 
@@ -159,11 +162,11 @@ def _cmd_scan(parser, args) -> int:
 
     axes = tuple(_parse_axis(parser, text) for text in args.axis)
     columns = tuple(c.strip() for c in args.columns.split(",") if c.strip())
-    return _write(run_scan(axes, _collect_params(args), _MODELS[args.model], columns), args)
+    return _write(run_scan(axes, _collect_params(args), ModelKind(args.model), columns), args)
 
 
 def _cmd_truncate(parser, args) -> int:
-    if _MODELS[args.model] is not ModelKind.SPIN_EXCHANGE:
+    if ModelKind(args.model) is not ModelKind.SPIN_EXCHANGE:
         parser.error("truncate supports the exchange model only (--model xy)")
     axis = _parse_axis(parser, args.axis)
     try:
@@ -211,7 +214,7 @@ def _cmd_optimize(parser, args) -> int:
 def _cmd_verify(parser, args) -> int:
     from .verify import run_verification
 
-    models = tuple(_MODELS.values()) if args.model is None else (_MODELS[args.model],)
+    models = tuple(ModelKind) if args.model is None else (ModelKind(args.model),)
     report = run_verification(args.samples, args.seed, models)
     for check in report.checks:
         status = "PASS" if check.ok else "FAIL"
@@ -225,15 +228,8 @@ def _cmd_verify(parser, args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "point": _cmd_point,
-        "scan": _cmd_scan,
-        "truncate": _cmd_truncate,
-        "optimize": _cmd_optimize,
-        "verify": _cmd_verify,
-    }
     try:
-        return handlers[args.command](parser, args)
+        return args.run(parser, args)
     except DomainError as exc:
         parser.error(str(exc))
     except NumericError as exc:

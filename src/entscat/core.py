@@ -169,9 +169,10 @@ class ObservableSet(NamedTuple):
     ratio_a_r: float | None
 
 
-# Sweep columns: C, P and a of each side, as named in files and on the command line.
+# Each sweep column (C, P and a of each side, as files and the command line name it) -> its ObservableSet field.
+COLUMNS = {"C_t": "concurrence_t", "P_t": "probability_t", "C_r": "concurrence_r",
+           "P_r": "probability_r", "a_t": "ratio_a_t", "a_r": "ratio_a_r"}
 DEFAULT_COLUMNS = ("C_t", "P_t", "C_r", "P_r")
-KNOWN_COLUMNS = ("C_t", "P_t", "C_r", "P_r", "a_t", "a_r")
 
 
 def _is_array(x) -> bool:

@@ -103,6 +103,9 @@ def model1_probability(omega_a, omega_b, sin2_kd):
     in right after 4ab, which is finite wherever (1+a+b)^2 is, so s = 0
     zeroes it before the (1+a)(1+b) factors can overflow (inf * 0 would be
     NaN) and a tiny s keeps it finite.
+
+    P is largest at the resonance s = 1; there its supremum over the quadrant,
+    1/2, is approached along omega_a = 1/sqrt(2) as omega_b -> inf, never attained.
     """
     a = omega_a * omega_a
     b = omega_b * omega_b

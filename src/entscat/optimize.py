@@ -55,16 +55,6 @@ class UnitPhase(NamedTuple):
     reason: str | None
 
 
-def probability_at_resonance(omega_a, omega_b):
-    """Detection probability at the resonant phase sin^2(kd) = 1.
-
-    This is the phase-optimal probability for the given couplings.  Its
-    supremum over the quadrant is 1/2, approached along omega_a = 1/sqrt(2)
-    as omega_b grows without bound; no finite point attains it.
-    """
-    return model1_probability(omega_a, omega_b, 1)
-
-
 def unit_concurrence_phase(omega_a: float, omega_b: float) -> UnitPhase:
     """Solve sin^2(kd) for unit concurrence (a = 1) at fixed couplings:
 
@@ -140,4 +130,4 @@ def find_global_p_opt():
     surd = 3.0 * math.sqrt(114.0)
     omega_b = math.sqrt((1.0 + (37.0 - surd) ** (1.0 / 3.0) + (37.0 + surd) ** (1.0 / 3.0)) / 6.0)
     omega_a = omega_b / (1.0 + 2.0 * omega_b * omega_b)
-    return omega_a, omega_b, probability_at_resonance(omega_a, omega_b)
+    return omega_a, omega_b, model1_probability(omega_a, omega_b, 1)

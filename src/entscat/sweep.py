@@ -28,9 +28,9 @@ import numpy as np
 from . import __version__
 from .closedform import truncated_amplitudes
 from .core import (
+    COLUMNS,
     DEFAULT_COLUMNS,
     DIMENSIONLESS_NAMES,
-    KNOWN_COLUMNS,
     PHYSICAL_NAMES,
     DimensionlessPoint,
     DomainError,
@@ -165,11 +165,6 @@ def _evaluate(cells: DimensionlessPoint, axes: tuple[Axis, ...], evaluate, field
     return {name: values.ravel() for name, values in columns.items()}
 
 
-# the ObservableSet field of each sweep column
-_FIELDS = {"C_t": "concurrence_t", "P_t": "probability_t", "a_t": "ratio_a_t",
-           "C_r": "concurrence_r", "P_r": "probability_r", "a_r": "ratio_a_r"}
-
-
 def run_scan(
     axes: tuple[Axis, ...],
     fixed: dict[str, float],
@@ -182,9 +177,9 @@ def run_scan(
     if not columns:
         raise DomainError("need at least one column")
     for col in columns:
-        if col not in KNOWN_COLUMNS:
-            raise DomainError(f"unknown column {col!r}; known: {KNOWN_COLUMNS}")
-    values = _evaluate(_resolve_grid(axes, fixed, model), axes, observables_at, {c: _FIELDS[c] for c in columns})
+        if col not in COLUMNS:
+            raise DomainError(f"unknown column {col!r}; known: {tuple(COLUMNS)}")
+    values = _evaluate(_resolve_grid(axes, fixed, model), axes, observables_at, {c: COLUMNS[c] for c in columns})
     return make_grid("scan", model, axes, fixed, values)
 
 

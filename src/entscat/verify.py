@@ -133,7 +133,7 @@ def _deviations(stack: DimensionlessPoint) -> list[tuple[str, float, np.ndarray]
 def run_verification(
     samples: int,
     seed: int,
-    models: tuple[ModelKind, ...] = (ModelKind.SPIN_EXCHANGE, ModelKind.HEISENBERG_CONTACT),
+    models: tuple[ModelKind, ...] = tuple(ModelKind),
 ) -> VerificationReport:
     """Run the full cross-validation battery and collect worst deviations.
 

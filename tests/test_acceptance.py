@@ -20,7 +20,6 @@ from entscat import (
     observables_at,
     optimal_concurrence,
     find_global_p_opt,
-    probability_at_resonance,
     run_scan,
     site_coefficients,
     solve_amplitudes_numeric,
@@ -124,7 +123,7 @@ def test_criterion_04_probability_supremum():
     ))
     values = [model1_probability(omega_a, b, 1) for b in grid]
     strictly_increasing = all(x < y for x, y in zip(values, values[1:]))
-    top = probability_at_resonance(2**-0.5, 1e6)
+    top = model1_probability(2**-0.5, 1e6, 1)
     below_half = all(v < Fraction(1, 2) for v in values)
     report(
         4,

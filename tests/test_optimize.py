@@ -23,7 +23,6 @@ from entscat import (
     model1_ratio,
     observables_at,
     optimal_concurrence,
-    probability_at_resonance,
     unit_concurrence_phase,
 )
 from entscat.closedform import _closed_forms
@@ -75,7 +74,7 @@ def _parabolic_refine(f, x, steps=(1e-3, 1e-4, 1e-5)):
 def resonance_curve_probability(omega_b):
     """Resonant probability on the unit-concurrence curve
     omega_a = omega_b/(1 + 2 omega_b^2)."""
-    return probability_at_resonance(curve_lower(omega_b), omega_b)
+    return model1_probability(curve_lower(omega_b), omega_b, 1)
 
 
 def searched_p_opt():
@@ -123,15 +122,15 @@ class TestProbabilityAtResonance:
     def test_reduces_when_a_is_transparent(self):
         for omega_b in (0.3, 1.0, 4.0):
             b = omega_b**2
-            assert probability_at_resonance(0.0, omega_b) == pytest.approx(b / (1 + b) ** 2, rel=1e-14)
+            assert model1_probability(0.0, omega_b, 1) == pytest.approx(b / (1 + b) ** 2, rel=1e-14)
 
     def test_supremum_half_approached_at_balanced_a(self):
-        p = probability_at_resonance(1.0 / math.sqrt(2.0), 1e6)
+        p = model1_probability(1.0 / math.sqrt(2.0), 1e6, 1)
         assert 0.5 - p < 1e-5
         assert p < 0.5 + 1e-15
 
     def test_rounded_literature_point(self):
-        assert probability_at_resonance(0.33, 1.07) == pytest.approx(0.37082238933688394, abs=1e-12)
+        assert model1_probability(0.33, 1.07, 1) == pytest.approx(0.37082238933688394, abs=1e-12)
 
     @pytest.mark.parametrize("sin2_kd", [0.0, 1e-300])
     def test_vanishing_phase_factor_enters_before_the_product_overflows(self, sin2_kd):
@@ -347,7 +346,7 @@ class TestOptimalConcurrence:
     @given(omega_a=st.floats(0.0, 20.0), omega_b=st.floats(0.0, 20.0), s=st.floats(0.0, 1.0))
     @settings(max_examples=300)
     def test_resonance_is_the_probability_optimum(self, omega_a, omega_b, s):
-        assert probability_at_resonance(omega_a, omega_b) >= model1_probability(omega_a, omega_b, s) - 1e-14
+        assert model1_probability(omega_a, omega_b, 1) >= model1_probability(omega_a, omega_b, s) - 1e-14
 
 
 # repr of the report, captured before the report was stored slot by slot and

@@ -1,8 +1,8 @@
 """The package surface that the benchmark and importers rely on.
 
 ``perfbench/run.py`` traces the functions named in its ``LAYER_FUNCTIONS``
-by module and name; the names are read from that file with ``ast``, without
-importing or running it.
+by module and name, and the workloads read names off the package; both are
+read from the benchmark's files with ``ast``, without importing or running them.
 """
 
 import ast
@@ -14,7 +14,8 @@ from pathlib import Path
 
 import entscat
 
-RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+RUN = PERFBENCH / "run.py"
 
 
 def assigned(name: str):
@@ -68,6 +69,28 @@ def test_every_name_and_layer_resolves_in_a_fresh_interpreter():
     # anything has imported the lazy modules
     names = [*entscat.__all__, *assigned("LAYERS")]
     proc = subprocess.run([sys.executable, "-c", RESOLVE, *names], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def package_reads():
+    """Every attribute the benchmark reads off the package: ``e.X``,
+    ``entscat.X`` and ``self.entscat.X`` in ``perfbench/*.py``."""
+
+    def is_package(node):
+        if isinstance(node, ast.Name):
+            return node.id in ("e", "entscat")
+        return isinstance(node, ast.Attribute) and node.attr == "entscat" and getattr(node.value, "id", None) == "self"
+
+    return sorted({node.attr for path in PERFBENCH.glob("*.py") for node in ast.walk(ast.parse(path.read_text("utf-8")))
+                   if isinstance(node, ast.Attribute) and is_package(node.value)})
+
+
+def test_every_name_the_benchmark_reads_resolves_in_a_fresh_interpreter():
+    # the imports of perfbench/run.py's import_entscat, then each read
+    names = package_reads()
+    assert {"ModelKind", "cli", "observables_at", "run_verification", "__version__"} <= set(names)
+    script = "import sys, entscat, entscat.cli\nfor name in sys.argv[1:]:\n    getattr(entscat, name)"
+    proc = subprocess.run([sys.executable, "-c", script, *names], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 

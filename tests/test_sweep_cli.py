@@ -14,6 +14,7 @@ from entscat import (
     Axis,
     DomainError,
     ModelKind,
+    ObservableSet,
     ValidationError,
     observables_at,
     run_scan,
@@ -23,7 +24,7 @@ from entscat import (
     write_json,
 )
 from entscat.cli import build_parser, main
-from entscat.core import point_at, resolve_point
+from entscat.core import COLUMNS, DEFAULT_COLUMNS, point_at, resolve_point
 from entscat.sweep import write_grid
 
 XY = ModelKind.SPIN_EXCHANGE
@@ -117,8 +118,15 @@ class TestRunScan:
         assert np.isnan(grid.columns["C_t"]).all()
         assert grid.columns["P_t"].tolist() == [0.0] * 3
 
+    def test_each_column_is_an_observable_field_and_the_defaults_are_in_order(self):
+        assert set(COLUMNS.values()) <= set(ObservableSet._fields)
+        assert len(set(COLUMNS.values())) == len(COLUMNS)
+        known = iter(COLUMNS)
+        assert all(column in known for column in DEFAULT_COLUMNS)  # a subsequence
+
     def test_unknown_column_rejected(self):
-        with pytest.raises(DomainError, match="unknown column"):
+        message = "unknown column 'bogus'; known: ('C_t', 'P_t', 'C_r', 'P_r', 'a_t', 'a_r')"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             run_scan((Axis("phase", 0.1, 1.0, 3),), {"omegaA": 1.0, "omegaB": 1.0}, XY, ("bogus",))
 
     def test_duplicate_parameter_rejected(self):
@@ -410,6 +418,19 @@ class TestCliUsageErrors:
         for name, sub in subparsers.items():
             flags = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
             assert flags == expected[name], name
+
+    def test_column_and_model_options_are_read_from_their_tables(self):
+        subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+        columns = next(a for a in subparsers["scan"]._actions if "--columns" in a.option_strings)
+        assert columns.default == ",".join(DEFAULT_COLUMNS)
+        models = sorted(m.value for m in ModelKind)
+        with_model = []
+        for name, sub in subparsers.items():
+            for action in sub._actions:
+                if "--model" in action.option_strings:
+                    assert action.choices == models, name
+                    with_model.append(name)
+        assert with_model == ["point", "scan", "truncate", "verify"]
 
     def test_scan_requires_out(self):
         with pytest.raises(SystemExit) as excinfo:
