@@ -30,7 +30,6 @@ from .core import (
     validate,
 )
 from .observables import (
-    concurrence_and_ratio,
     model1_probability,
     model1_ratio,
     observables_at,
@@ -48,7 +47,7 @@ from .optimize import (
 # (PEP 562), so ``import entscat`` and the scalar functions run without numpy.
 # A resolved name is looked up afresh each time, never stored here.
 _LAZY = {
-    "matching": ("build_matching_system", "solve_amplitudes_numeric", "solve_system"),
+    "matching": ("solve_amplitudes_numeric",),
     "sweep": ("Axis", "SweepGrid", "run_scan", "run_truncation", "write_csv", "write_json"),
     "verify": ("VerificationReport", "run_verification"),
 }
@@ -86,8 +85,6 @@ __all__ = [
     "ValidationError",
     "VerificationReport",
     "amplitudes",
-    "build_matching_system",
-    "concurrence_and_ratio",
     "dressed_coefficients",
     "find_global_p_opt",
     "model1_probability",
@@ -99,7 +96,6 @@ __all__ = [
     "run_verification",
     "site_coefficients",
     "solve_amplitudes_numeric",
-    "solve_system",
     "to_dimensionless",
     "truncated_amplitudes",
     "unit_concurrence_phase",

@@ -343,10 +343,13 @@ def _phase_of_sin2(s):
 def resolve_point(params: dict[str, float], model: ModelKind) -> DimensionlessPoint:
     """The point named by ``params``, in one unit system: physical k, gA, gB
     and optionally d, or dimensionless omegaA, omegaB and one of phase or
-    sin2kd; the phase is not folded.  Raises DomainError for a mix, a missing
-    name, a bad value or arrays that do not broadcast together.  Elementwise
-    on numpy arrays: a bad value raises the error that the first bad cell, in
-    row-major order, raises on its own."""
+    sin2kd; the phase is not folded.  Raises DomainError for a name outside
+    these eight, a mix, a missing name, a bad value or arrays that do not
+    broadcast together.  Elementwise on numpy arrays: a bad value raises the
+    error that the first bad cell, in row-major order, raises on its own."""
+    for name in params:
+        if name not in PHYSICAL_NAMES + DIMENSIONLESS_NAMES:
+            raise DomainError(f"unknown parameter {name!r}")
     names = set(params)
     physical = names & set(PHYSICAL_NAMES)
     dimensionless = names & set(DIMENSIONLESS_NAMES)

@@ -30,8 +30,6 @@ from .closedform import truncated_amplitudes
 from .core import (
     COLUMNS,
     DEFAULT_COLUMNS,
-    DIMENSIONLESS_NAMES,
-    PHYSICAL_NAMES,
     DimensionlessPoint,
     DomainError,
     ModelKind,
@@ -96,19 +94,16 @@ class SweepGrid:
 
 
 def _check_request(axes: tuple[Axis, ...], fixed: dict[str, float], item: str, requested) -> None:
-    """One or two axes, every parameter name known, each fixed parameter one
-    value (a 0-d array counts), and each parameter and each ``requested``
-    ``item`` (column or bounce order) given once."""
+    """One or two axes, each fixed parameter one value (a 0-d array counts),
+    and each parameter and each ``requested`` ``item`` (column or bounce
+    order) given once; :func:`resolve_point` refuses an unknown name."""
     if not 1 <= len(axes) <= 2:
         raise DomainError(f"need 1 or 2 axes, got {len(axes)}")
-    seen = [ax.name for ax in axes] + list(fixed)
-    for what, values in (("parameter", seen), (item, list(requested))):
+    for what, values in (("parameter", [ax.name for ax in axes] + list(fixed)), (item, list(requested))):
         if len(set(values)) != len(values):
             raise DomainError(f"{what} given twice in {values}")
-    for name in seen:
-        if name not in PHYSICAL_NAMES + DIMENSIONLESS_NAMES:
-            raise DomainError(f"unknown parameter {name!r}")
-        check_single(name, fixed.get(name), "value")  # None for an axis
+    for name, value in fixed.items():
+        check_single(name, value, "value")
 
 
 def make_grid(
@@ -189,9 +184,11 @@ def run_truncation(
     bounce_orders: tuple[int, ...],
 ) -> SweepGrid:
     """Concurrence and probability with the bounce series cut at each order,
-    next to the exact values (exchange model, transmitted side).  Each order
-    runs over the whole axis in turn, so the first with a bad cell raises."""
+    next to the exact values (exchange model, transmitted side).  Every
+    order is checked before any cell is evaluated; each then runs over the
+    whole axis in turn, so the first with a bad cell raises."""
     model = ModelKind.SPIN_EXCHANGE
+    bounce_orders = tuple(check_count("bounce count", n, 0) for n in bounce_orders)
     _check_request((axis,), fixed, "bounce order", bounce_orders)
     cells = _resolve_grid((axis,), fixed, model)
     sets = {f"n{n}": lambda pt, n=n: _observables(truncated_amplitudes(pt, n)) for n in bounce_orders}

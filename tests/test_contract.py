@@ -41,7 +41,6 @@ from entscat import (
     UnsupportedModelError,
     ValidationError,
     amplitudes,
-    build_matching_system,
     dressed_coefficients,
     observables_at,
     optimal_concurrence,
@@ -54,6 +53,7 @@ from entscat import (
     validate,
 )
 from entscat.cli import main
+from entscat.matching import build_matching_system
 
 FLOATS = st.one_of(
     st.floats(),  # both zeros, subnormals, negatives, infinities and NaN among them

@@ -15,14 +15,12 @@ from entscat import (
     ModelKind,
     NumericError,
     amplitudes,
-    build_matching_system,
     site_coefficients,
     solve_amplitudes_numeric,
-    solve_system,
 )
 from entscat.closedform import _closed_forms
 from entscat.core import point_at
-from entscat.matching import _COUPLINGS
+from entscat.matching import _COUPLINGS, build_matching_system, solve_system
 from entscat.verify import sample_points
 
 XY = ModelKind.SPIN_EXCHANGE

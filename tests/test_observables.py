@@ -13,13 +13,12 @@ from entscat import (
     ModelKind,
     NumericError,
     amplitudes,
-    concurrence_and_ratio,
     model1_probability,
     model1_ratio,
     observables_at,
 )
 from entscat.core import point_at
-from entscat.observables import post_selected_state, probability
+from entscat.observables import concurrence_and_ratio, post_selected_state, probability
 from entscat.verify import sample_points
 
 XY = ModelKind.SPIN_EXCHANGE

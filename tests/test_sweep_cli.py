@@ -71,6 +71,21 @@ class TestPointFromParams:
         with pytest.raises(DomainError):
             resolve_point({"omegaA": 1.0, "omegaB": 1.0, "phase": 1.0, "sin2kd": 1.0}, XY)
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"k": 1.0, "gA": 1.0, "gB": 1.0, "D": 2.0},
+            {"omegaA": 1.0, "omegaB": 1.0, "phase": 0.5, "D": 2.0},
+            {"k": np.ones(2), "gA": 1.0, "gB": 1.0, "D": 2.0},
+            {"D": 2.0, "omegaA": np.ones(2), "omegaB": 1.0, "sin2kd": 0.5},
+            {"D": np.ones(3), "omegaA": np.ones(2), "omegaB": 1.0},
+        ],
+        ids=["physical", "dimensionless", "physical-stack", "dimensionless-stack", "before-missing-names"],
+    )
+    def test_unknown_name_rejected(self, params):
+        with pytest.raises(DomainError, match=r"^unknown parameter 'D'$"):
+            resolve_point(params, XY)
+
     def test_sin2kd_converts_to_phase(self):
         pt = resolve_point({"omegaA": 1.0, "omegaB": 1.0, "sin2kd": 1.0}, XY)
         assert pt.phase == pytest.approx(math.pi / 2, rel=1e-15)
@@ -149,6 +164,18 @@ class TestRunScan:
         for shape in [(1,), (2,), (2, 1)]:
             with pytest.raises(DomainError, match=re.escape(f"{name} must be one value, got an array of shape {shape}")):
                 entry({name: np.full(shape, 2.0)})
+
+    def test_every_bounce_order_is_refused_before_evaluation(self, monkeypatch):
+        monkeypatch.setattr(entscat.sweep, "_resolve_grid", lambda *args: pytest.fail("the grid was evaluated"))
+        axis, fixed = Axis("k", 0.05, 10.0, 9), {"gA": 3.0, "gB": 3.0}
+        for orders, error, message in [
+            ((0, 1, -2), ValidationError, "bounce count must be an integer >= 0, got -2"),
+            ((0, np.int64(-1)), ValidationError, "bounce count must be an integer >= 0, got -1"),
+            ((0, True), ValidationError, "bounce count must be an integer >= 0, got True"),
+            ((3, np.int64(3)), DomainError, "bounce order given twice in [3, 3]"),
+        ]:
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                run_truncation(axis, fixed, orders)
 
     def test_truncation_rejects_unknown_parameter(self):
         with pytest.raises(DomainError, match="unknown parameter 'bogus'"):
