@@ -13,7 +13,6 @@ files.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -26,6 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
+from ._digits import WIDTH, reprs
 from .closedform import truncated_amplitudes
 from .core import (
     COLUMNS,
@@ -203,31 +203,54 @@ def run_truncation(
 _WRITE_BLOCK = 2048  # cells per column formatted and written at once; their text is all held until written
 
 
+def _rows(pieces: list, count: int) -> np.ndarray:
+    """``count`` rows side by side: each piece is a (count, width) uint8
+    matrix or bytes repeated on every row."""
+    widths = [len(piece) if isinstance(piece, bytes) else piece.shape[1] for piece in pieces]
+    rows = np.empty((count, sum(widths)), dtype=np.uint8)
+    at = 0
+    for piece, width in zip(pieces, widths):
+        rows[:, at : at + width] = np.frombuffer(piece, dtype=np.uint8) if isinstance(piece, bytes) else piece
+        at += width
+    return rows
+
+
+def _between(separator: bytes, fields: list) -> list:
+    """``fields`` with ``separator`` between each two."""
+    return [piece for field in fields for piece in (separator, field)][1:]
+
+
 def _write_blocks(grid: SweepGrid, as_json: bool, start: int, stop: int, fh) -> None:
     """Write the rows of cells ``start`` (a multiple of _WRITE_BLOCK) to
-    ``stop`` to the binary ``fh``, a block at a time, a JSON block after cell
-    0 led by its ",\\n": each column's slice as ``repr`` of each float, a NaN
-    (undefined) cell as "" (CSV) or a non-finite one as "null" (JSON), and a
-    slice with the float64 bits of an earlier one in its block as its text."""
-    null = "null" if as_json else ""
-    # row-major coordinates, each axis value formatted once
-    coords = itertools.product(*([repr(float(v)) for v in ax.values()] for ax in grid.axes))
-    coords = itertools.islice(coords, start, stop)
+    ``stop`` to the binary ``fh``, a block at a time, as the non-NUL bytes
+    of one uint8 matrix per block, a row per cell: each column's slice as
+    ``repr`` of each float (:func:`_digits.reprs`), a NaN (undefined) cell
+    as "" (CSV) or a non-finite one as "null" (JSON), and a slice with the
+    float64 bits of an earlier one in its block as its text.  A CSV row
+    leads with the ``repr`` of each axis value, formatted once per axis; a
+    JSON row after cell 0 with its ",\\n"."""
+    shape = [ax.count for ax in grid.axes]
+    strides = [math.prod(shape[i + 1 :]) for i in range(len(shape))]
+    coords = [] if as_json else [(reprs(ax.values()), stride, ax.count) for ax, stride in zip(grid.axes, strides)]
+    null = np.frombuffer(b"null".ljust(WIDTH, b"\0") if as_json else bytes(WIDTH), dtype=np.uint8)
     for first in range(start, stop, _WRITE_BLOCK):
-        count, done, columns = min(stop - first, _WRITE_BLOCK), {}, []
-        for col in grid.columns.values():
-            col = col[first : first + count]
-            if (key := col.tobytes()) not in done:
-                done[key] = text = list(map(repr, col.tolist()))
-                for i in np.flatnonzero(~np.isfinite(col) if as_json else np.isnan(col)).tolist():
-                    text[i] = null
-            columns.append(done[key])
+        count = min(stop - first, _WRITE_BLOCK)
+        slices = {}  # the float64 bits of each distinct column slice -> its row in ``values``
+        order = [slices.setdefault(col[first : first + count].tobytes(), len(slices)) for col in grid.columns.values()]
+        values = np.frombuffer(b"".join(slices), dtype=np.float64).reshape(len(slices), count)
+        text = reprs(values).reshape(len(slices), count, WIDTH)
+        text[~np.isfinite(values) if as_json else np.isnan(values)] = null
+        columns = [text[i] for i in order]
         if as_json:
-            rows = "\n  ],\n  [\n   ".join(map(",\n   ".join, zip(*columns)))
-            text = (",\n" if first else "") + (f"  [\n   {rows}\n  ]" if columns else ",\n".join(["  []"] * count))
+            pieces = [b",\n  [\n   ", *_between(b",\n   ", columns), b"\n  ]"] if columns else [b",\n  []"]
+            rows = _rows(pieces, count)
+            if first == 0:
+                rows[0, :2] = 0  # cell 0 opens the list
         else:
-            text = "\n".join(map(",".join, zip(*zip(*itertools.islice(coords, count)), *columns))) + "\n"
-        fh.write(text.encode())
+            cells = np.arange(first, first + count)
+            labels = [axis_text[cells // stride % n] for axis_text, stride, n in coords]
+            rows = _rows([*_between(b",", labels + columns), b"\n"], count)
+        fh.write(rows[rows != 0])
 
 
 def _usable_cpus() -> int:
