@@ -17,6 +17,7 @@ import them in their handlers: point, optimize and --version run without it.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -225,8 +226,14 @@ def _cmd_verify(parser, args) -> int:
     return 0 if report.ok else 1
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return args.run(parser, args)

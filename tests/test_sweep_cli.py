@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import entscat.cli
 import entscat.sweep
 import entscat.verify
 from entscat import (
@@ -265,6 +266,23 @@ class TestCli:
     def test_point_prints_a_defined_infinite_ratio_as_inf(self, capsys):
         assert run_cli("point", "--omegaA", "1", "--omegaB", "0", "--phase", "1", "--side", "t") == 0
         assert capsys.readouterr().out.endswith("transmitted: C=0.0 P=0.25 a=inf\n")
+
+    def test_main_builds_one_parser_and_reuses_it(self, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(entscat.cli, "build_parser", lambda: built.append(None) or build_parser())
+        entscat.cli._parser.cache_clear()
+        argv = ("point", "--omegaA", "1", "--omegaB", "0", "--phase", "1", "--side", "t")
+        try:
+            assert run_cli(*argv) == 0
+            first = capsys.readouterr().out
+            with pytest.raises(SystemExit):  # a usage error leaves the parser as it was
+                run_cli("point", "--side", "x")
+            for _ in range(2):
+                assert run_cli(*argv) == 0
+                assert capsys.readouterr().out == first
+        finally:
+            entscat.cli._parser.cache_clear()
+        assert len(built) == 1
 
     def test_point_undefined_concurrence(self, capsys):
         assert run_cli("point", "--model", "xy", "--omegaA", "0", "--omegaB", "0", "--phase", "1") == 0
