@@ -86,8 +86,8 @@ _LAYOUTS = _layouts()
 
 
 def _mulhi(a: np.ndarray, b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
-    """The high 64 bits of each 128-bit product a * b, b given as its 32-bit
-    halves b0 and b1, from 32-bit halves."""
+    """The high 64 bits of each 128-bit product a * b, from 32-bit halves;
+    b comes as its halves b0 (low) and b1."""
     a0, a1 = a & _M32, a >> _S32
     cross0, cross1 = a1 * b0, a0 * b1
     mid = ((a0 * b0) >> _S32) + (cross0 & _M32) + (cross1 & _M32)
