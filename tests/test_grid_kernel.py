@@ -659,6 +659,21 @@ def test_forked_writers_write_the_same_bytes_on_any_cpu_count(forked_grid, fmt, 
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("cpus, blocks", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 3), (3, 4)])
+def test_one_n_and_n_plus_one_blocks_write_the_same_bytes(fmt, cpus, blocks, forks, monkeypatch, tmp_path):
+    """Grids of exactly 1, N and N + 1 write blocks on N CPUs: a range per
+    CPU where there are enough blocks, never an empty one."""
+    cells = blocks * _WRITE_BLOCK
+    x = np.arange(cells) / 3
+    x[::7] = math.nan
+    grid = SweepGrid((Axis("omegaA", 0.0, 1.0, cells),), {"C_t": x, "P_t": np.sqrt(np.arange(cells))}, {"tool": "t"})
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: cpus)
+    expected = reference_csv(grid) if fmt == "csv" else reference_json(grid)
+    assert write_forked(grid, fmt, tmp_path / f"g.{fmt}") == expected.encode("utf-8")
+    assert len(forks) == min(blocks, cpus) - 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_failing_child_leaves_its_range_to_the_parent(forked_grid, fmt, forks, monkeypatch, tmp_path):
     grid, expected = forked_grid
     parent, write_blocks = os.getpid(), sweep._write_blocks
