@@ -2,12 +2,12 @@
 
 :func:`reprs` turns an array of floats into an (n, 24) uint8 matrix whose
 row i holds ``repr(float(values[i]))``, padded with NUL.  The shortest
-round-trip digits of normal numbers come from Schubfach (R. Giulietti, "The
-Schubfach way to render doubles", 2020) in uint64 arithmetic, each step one
-numpy operation over the whole block; zeros, subnormals, infinities and NaN
-are formatted by ``repr`` itself.  Every integer constant mixed with a uint64
-array is an ``np.uint64``: before NEP 50, numpy promotes uint64 mixed with a
-signed integer to float64.
+round-trip digits of every finite nonzero float, subnormals included, come
+from Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020) in
+uint64 arithmetic, each step one numpy operation over the whole block; zeros,
+infinities and NaN take constant rows.  Every integer constant mixed with a
+uint64 array is an ``np.uint64``: before NEP 50, numpy promotes uint64 mixed
+with a signed integer to float64.
 """
 
 from __future__ import annotations
@@ -102,12 +102,14 @@ def _rop(g1: np.ndarray, g0: np.ndarray, cp: np.ndarray) -> np.ndarray:
 
 
 def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(f, e) with f * 10^e the shortest decimal that rounds to each normal
-    float64 of ``bits``, the nearest of them, and the one with an even last
-    digit on a tie: Schubfach, section by section of Giulietti's paper.  An
-    integer below 2^53 is its own digits."""
-    c = (bits & _U(2**52 - 1)) | _U(2**52)
-    q = ((bits >> _U(52)) & _U(0x7FF)).astype(np.int64) - 1075
+    """(f, e) with f * 10^e the shortest decimal that rounds to each finite
+    nonzero float64 of ``bits``, the nearest of them, and the one with an even
+    last digit on a tie: Schubfach, section by section of Giulietti's paper.
+    Zeros, infinities and NaN get an (f, e) of no meaning, f below 10^17."""
+    biased = (bits >> _U(52)) & _U(0x7FF)  # the exponent field
+    # a subnormal has no hidden bit and the least normal exponent
+    c = (bits & _U(2**52 - 1)) | np.minimum(biased, _U(1)) << _U(52)
+    q = np.maximum(biased, _U(1)).astype(np.int64) - 1075
     # the rounding interval is narrower below a power of two, unless the
     # exponent is the least normal one
     regular = (c != _U(2**52)) | (q == -1074)
@@ -127,9 +129,11 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     uin, win = vbl + out <= s << _U(2), (t << _U(2)) + out <= vbr
     nearer = np.where((vb < (s + t) << _U(1)) | ((vb == (s + t) << _U(1)) & (s & _U(1) == _U(0))), s, t)
     f = np.where(upin != wpin, np.where(upin, sp10, tp10), np.where(uin != win, np.where(uin, s, t), nearer))
-    shift = np.clip(-q, 0, 63).astype(_U)
-    exact = (-52 <= q) & (q <= 0) & ((c >> shift) << shift == c)
-    return np.where(exact, c >> shift, f), np.where(exact, 0, k)
+    return f, k
+
+
+# the rows of 0.0, -0.0, inf, -inf and NaN of either sign
+_SPECIAL = np.array([b"0.0", b"-0.0", b"inf", b"-inf", b"nan", b"nan"], dtype=f"S{WIDTH}").view(np.uint8).reshape(6, WIDTH)
 
 
 def reprs(values) -> np.ndarray:
@@ -137,11 +141,6 @@ def reprs(values) -> np.ndarray:
     padded with NUL, for the n entries of ``values`` raveled."""
     values = np.ascontiguousarray(values, dtype=np.float64).ravel()
     bits = values.view(_U)
-    biased = (bits >> _U(52)) & _U(0x7FF)  # the exponent field
-    normal = (biased != _U(0)) & (biased != _U(0x7FF))
-    all_normal = bool(normal.all())
-    if not all_normal:
-        bits = bits[normal]
     f, e = _shortest(bits)
     m = len(f)
     length = np.searchsorted(_P10, f, side="right")  # digits of f
@@ -163,12 +162,8 @@ def reprs(values) -> np.ndarray:
     row = ((bits >> _S63).astype(np.intp) * 17 + significant - 1) * _FORMS + form
     index = _LAYOUTS[row]
     index += np.arange(0, 32 * m, 32)[:, None]
-    digits = source.ravel()[index]
-    if all_normal:
-        return digits
-    text = np.zeros((len(values), WIDTH), dtype=np.uint8)
-    text[normal] = digits
-    for i in np.flatnonzero(~normal).tolist():
-        r = repr(float(values[i])).encode()
-        text[i, : len(r)] = np.frombuffer(r, dtype=np.uint8)
+    text = source.ravel()[index]
+    special = (values == 0.0) | ~np.isfinite(values)
+    rare = values[special]
+    text[special] = _SPECIAL[np.signbit(rare) + 2 * np.isinf(rare) + 4 * np.isnan(rare)]
     return text

@@ -4,13 +4,14 @@ Each row the kernel returns must be ``repr(float(v))`` byte for byte,
 padded with NUL, on the inputs where shortest-digit algorithms go wrong:
 random bit patterns, powers of two (whose rounding interval is lopsided) and
 of ten, the points where ``repr`` switches between fixed and exponent
-notation, integers near 2^53, short decimals, and the values the kernel
-leaves to ``repr`` (zeros, subnormals, infinities, NaN), each also negated.
-The writers built on it must still equal the plain per-cell writers on any
-floats.
+notation, integers near 2^53, short decimals, and zeros, subnormals,
+infinities and NaN, which go through the same kernel without ``repr``, each
+also negated.  The writers built on it must still equal the plain per-cell
+writers on any floats.
 
 Run as a script, it compares 2^24 random bit patterns (or the count given
-as its argument) and exits 1 on a mismatch.
+as its argument) and a quarter as many patterns of the exponent fields 0, 1,
+0x7FE and 0x7FF, and exits 1 on a mismatch.
 """
 
 import math
@@ -22,7 +23,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entscat import Axis, SweepGrid, write_csv, write_json
+from entscat import Axis, SweepGrid, _digits, write_csv, write_json
 from entscat._digits import WIDTH, reprs
 from test_grid_kernel import reference_csv, reference_json
 
@@ -54,6 +55,19 @@ def random_bits(count: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).integers(0, 2**64, size=count, dtype=np.uint64).view(np.float64)
 
 
+def special_exponents(count: int, seed: int) -> np.ndarray:
+    """``count`` floats of random sign and significand bits, the significand
+    shifted right by 0 to 52 places, whose exponent fields are 0, 1, 0x7FE
+    and 0x7FF in turn: zeros and subnormals, the least and the greatest
+    normal binade, infinities and NaN.  Random bit patterns hold the fields
+    of zeros, subnormals, infinities and NaN 2 times in 2,048."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, size=count, dtype=np.uint64)
+    significand = (bits & np.uint64(2**52 - 1)) >> rng.integers(0, 53, size=count, dtype=np.uint64)
+    field = np.resize(np.array([0, 1, 0x7FE, 0x7FF], dtype=np.uint64), count) << np.uint64(52)
+    return ((bits & np.uint64(2**63)) | field | significand).view(np.float64)
+
+
 def with_neighbours(values, steps: int = 1) -> np.ndarray:
     """``values`` and the ``steps`` floats on either side of each."""
     out = [np.asarray(values, dtype=np.float64)]
@@ -67,6 +81,10 @@ def with_neighbours(values, steps: int = 1) -> np.ndarray:
 
 def test_random_bit_patterns():
     assert mismatches(random_bits(2**20, 2020)) == []
+
+
+def test_dense_special_exponents():
+    assert mismatches(special_exponents(2**16, 1074)) == []
 
 
 def test_powers_of_two_from_the_least_subnormal_to_the_greatest():
@@ -92,7 +110,11 @@ def test_integers():
     near = np.arange(2**53 - 2**12, 2**53 + 2**12, dtype=np.int64).astype(np.float64)
     small = np.arange(1, 2**16, dtype=np.float64)
     powers = [float(10**n) for n in range(23)] + [float(2**n) for n in range(64)]
-    assert mismatches(np.concatenate([near, small, powers, with_neighbours(powers)])) == []
+    rng = np.random.default_rng(53)
+    tens = 10 ** rng.integers(1, 16, size=2**14)
+    trailing_zeros = (rng.integers(1, 2**53 // tens) * tens).astype(np.float64)  # below 2^53
+    dyadic = rng.integers(1, 2**53, size=2**14) / 2.0 ** rng.integers(1, 60, size=2**14)
+    assert mismatches(np.concatenate([near, small, powers, with_neighbours(powers), trailing_zeros, dyadic])) == []
 
 
 def test_decimals_rounded_to_each_digit_count():
@@ -102,11 +124,24 @@ def test_decimals_rounded_to_each_digit_count():
     assert mismatches(rounded) == []
 
 
-def test_values_left_to_repr():
+def test_zeros_subnormals_infinities_and_nan():
     specials = [0.0, math.inf, math.nan, 5e-324, 2.2250738585072009e-308, 1e-310]
     subnormals = (random_bits(4096, 3).view(np.uint64) & np.uint64(2**52 - 1)).view(np.float64)
     assert mismatches(specials + list(subnormals)) == []
     assert reprs([math.nan, -0.0])[:, :5].tobytes() == b"nan\0\0-0.0\0"
+
+
+def test_special_values_at_every_position_without_repr(monkeypatch):
+    def no_repr(value):
+        raise AssertionError(f"the kernel called repr({value!r})")
+
+    monkeypatch.setattr(_digits, "repr", no_repr, raising=False)
+    greatest_subnormal = np.nextafter(2.2250738585072014e-308, 0)
+    specials = np.array([0.0, 5e-324, 1e-323, greatest_subnormal, math.inf])
+    specials = np.concatenate([specials, -specials, [math.nan]])
+    for shift in range(len(specials)):  # each value at every position of a block
+        block = np.resize(np.roll(specials, shift), 2048)
+        assert (reprs(block) == expected(block)).all()
 
 
 def test_shape_and_padding():
@@ -138,8 +173,10 @@ def test_writers_match_the_reference_on_any_floats(cells, a, b, c, d):
 
 if __name__ == "__main__":
     count = int(sys.argv[1]) if len(sys.argv) > 1 else 2**24
-    bad = []
+    bad, total = [], 0
     for first in range(0, count, 2**20):
-        bad += mismatches(random_bits(min(2**20, count - first), first))
-    print(f"{len(bad)} of {2 * count} values differ from repr", *bad[:20], sep="\n")
+        size = min(2**20, count - first)
+        bad += mismatches(random_bits(size, first)) + mismatches(special_exponents(size // 4, first + 1))
+        total += 2 * (size + size // 4)
+    print(f"{len(bad)} of {total} values differ from repr", *bad[:20], sep="\n")
     sys.exit(1 if bad else 0)
