@@ -12,9 +12,12 @@ trees alternating which goes first.  The record keeps each tree's commit
 and whether its tracked files differed from that commit, each run's
 environment and result line, and per tree and workload the median and
 quartiles of every metric and, per metric, the seeds on which this checkout
-did better, using the direction ``BENCHMARK.json`` declares.  A run that
-prints no result line is kept with its error output and left out of the
-statistics.
+did better, using the direction ``BENCHMARK.json`` declares.  Beside the
+scaled metrics it keeps each run's unscaled ``raw_points_per_s``, read from
+the ``detail`` of the record ``perfbench/run.py`` writes under
+``perfbench/out/``, with the same statistics, higher being better.  A run
+that prints no result line is kept with its error output and left out of
+the statistics.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ENV_PREFIX = "# env: "
+RAW = "raw_points_per_s"
 
 
 def parse_output(stdout: str) -> tuple[dict | None, dict | None]:
@@ -41,14 +45,33 @@ def parse_output(stdout: str) -> tuple[dict | None, dict | None]:
     return env, result if isinstance(result, dict) and "metrics" in result else None
 
 
+def metric_values(run: dict) -> dict:
+    """The value of each metric of a run that has a result, by name, its raw
+    rate among them where one was read."""
+    values = {name: metric["value"] for name, metric in run["result"]["metrics"].items()}
+    if run.get(RAW) is not None:
+        values[RAW] = run[RAW]
+    return values
+
+
+def read_raw_rate(record: Path) -> float | None:
+    """``detail.raw_points_per_s`` of a run record; None where the record is
+    missing or holds no such figure."""
+    try:
+        return json.loads(record.read_text())["detail"][RAW]
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+
+
 def summarize(runs: list[dict]) -> dict:
     """Median and quartiles (inclusive method) of each metric over the runs
     that have a result, with the count of runs and of failed operations."""
     results = [run["result"] for run in runs if run.get("result")]
-    names = sorted({name for result in results for name in result["metrics"]})
+    values_of = [metric_values(run) for run in runs if run.get("result")]
+    names = sorted({name for values in values_of for name in values})
     medians, quartiles = {}, {}
     for name in names:
-        values = [r["metrics"][name]["value"] for r in results if name in r["metrics"]]
+        values = [v[name] for v in values_of if name in v]
         medians[name] = statistics.median(values)
         q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
         quartiles[name] = [q1, q3]
@@ -64,12 +87,11 @@ def summarize(runs: list[dict]) -> dict:
 def pairs_won(baseline: list[dict], change: list[dict], better: dict[str, str]) -> dict:
     """Per metric, the seeds on which the change did better than the
     baseline, out of the seeds where both runs have a result."""
-    base = {run["seed"]: run["result"] for run in baseline if run.get("result")}
-    pairs = [(base[run["seed"]], run["result"]) for run in change if run.get("result") and run["seed"] in base]
+    base = {run["seed"]: metric_values(run) for run in baseline if run.get("result")}
+    pairs = [(base[run["seed"]], metric_values(run)) for run in change if run.get("result") and run["seed"] in base]
     won = {}
     for name, direction in better.items():
-        values = [(b["metrics"][name]["value"], c["metrics"][name]["value"]) for b, c in pairs
-                  if name in b["metrics"] and name in c["metrics"]]
+        values = [(b[name], c[name]) for b, c in pairs if name in b and name in c]
         wins = sum(c < b if direction == "lower" else c > b for b, c in values)
         won[name] = {"won": wins, "pairs": len(values)}
     return won
@@ -89,17 +111,21 @@ def tree_identity(tree: Path) -> dict:
 
 def run_once(tree: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
     argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    record = tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
+    record.unlink(missing_ok=True)  # so that a run which writes none is not read from an earlier one
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     env, result = parse_output(proc.stdout)
     run = {"seed": seed, "env": env, "result": result}
     if result is None:
         run["error"] = proc.stderr[-2000:]
+    else:
+        run[RAW] = read_raw_rate(record)
     return run
 
 
 def record(pr: int, seeds: list[int], baseline: Path) -> dict:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]} | {RAW: "higher"}
     names = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
     trees = {"baseline": baseline.resolve(), "change": ROOT}

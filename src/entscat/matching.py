@@ -94,9 +94,19 @@ def _matching_system(pt: DimensionlessPoint):
     # at B: 2i A- / E - 2 omega_b M_B (A+ E + A- / E) = 0
     system[..., 3:, :3] = -coupling_b_ea
     system[..., 3:, 3:6] = jump * em - coupling_b_em
-    _, exponent = np.frexp(np.abs(system[..., :6]).max(axis=-1, keepdims=True))
-    system = np.ldexp(system.view(float), -exponent).view(complex)  # ldexp has no complex loop
+    _, exponent = np.frexp(_fold(np.maximum, np.abs(system[..., :6]))[..., None])
+    np.ldexp(system.view(float), -exponent, out=system.view(float))  # ldexp has no complex loop
     return system[..., :6], system[..., 6], *factors
+
+
+def _fold(ufunc, x, axis=-1):
+    """``ufunc.reduce(x, axis)`` over a short ``axis`` (-1 or -2) as elementwise calls in index order,
+    numpy's own for a sum along -2 and a maximum: its bits, NaN included, without its fixed cost."""
+    tail = (slice(None),) * (-1 - axis)
+    out = ufunc(x[(..., 0, *tail)], x[(..., 1, *tail)])
+    for i in range(2, x.shape[axis]):
+        ufunc(out, x[(..., i, *tail)], out=out)
+    return out
 
 
 def solve_system(matrix: np.ndarray, rhs: np.ndarray, point: DimensionlessPoint) -> np.ndarray:
@@ -117,12 +127,18 @@ def solve_system(matrix: np.ndarray, rhs: np.ndarray, point: DimensionlessPoint)
     size = matrix.shape[-1]
     matrix = matrix.reshape(-1, size, size)
     rhs = rhs.reshape(-1, size, 1)
+    rhs_eye = np.empty(matrix.shape[:-1] + (size + 1,), dtype=complex)  # [b | I]
+    rhs_eye[..., :1], rhs_eye[..., 1:] = rhs, np.eye(size)
     with np.errstate(all="ignore"):  # as np.linalg.cond calls it: NaN, not LinAlgError, where M cannot be factored
-        both = _umath_linalg.solve(matrix, np.dstack((rhs, np.broadcast_to(np.eye(size), matrix.shape))), signature="DD->D")
-        cond = np.abs(matrix).sum(axis=1).max(axis=1) * np.abs(both[..., 1:]).sum(axis=1).max(axis=1)
-    cond[np.isnan(cond) & ~np.isnan(matrix).any(axis=(1, 2))] = np.inf  # np.linalg.cond's rule for NaN
+        both = _umath_linalg.solve(matrix, rhs_eye, signature="DD->D")
+        del rhs_eye  # freed before the norms' temporaries: a lower heap top, so fewer trims and page faults
+        # ||M||_1 ||M^-1||_1, each the largest column sum of |entries|
+        cond = _fold(np.maximum, _fold(np.add, np.abs(matrix), -2))
+        cond *= _fold(np.maximum, _fold(np.add, np.abs(both), -2)[..., 1:])
+    if np.isnan(cond).any():
+        cond[np.isnan(cond) & ~np.isnan(matrix).any(axis=(1, 2))] = np.inf  # np.linalg.cond's rule for NaN
     n = int(np.argmin(np.append(cond <= 1e12, False)))  # the systems before the first refused one
-    residual = np.abs(matrix[:n] @ both[:n, :, :1] - rhs[:n]).max(axis=(1, 2))
+    residual = _fold(np.maximum, np.abs(matrix[:n] @ both[:n, :, :1] - rhs[:n])[..., 0])
     bad = np.append(residual > 1e-10, n < len(cond))  # bad residuals, then the refusal: the first failing system
     if bad.any():
         i = int(np.argmax(bad))

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closedform import _dressed, _partial_sum, _site_terms, amplitudes
-from .core import DimensionlessPoint, ModelKind, NumericError, UnsupportedModelError
+from .core import DimensionlessPoint, DomainError, ModelKind, NumericError, UnsupportedModelError
 from .core import check_count, point_at, validate
 from .matching import solve_amplitudes_numeric
 from .observables import _observables
@@ -70,11 +70,14 @@ def _series_sigma(f, r_own, r_same_partner, e2):
     convergent series from a divergent one (at opacities of about 1e8 and
     above)."""
     q = r_own * r_same_partner * e2
-    # one n for every cell: where |q| < 1 - 2^-50, |q|^(2^60) <= exp(-2^10)
-    # underflows to 0, so 2^60 terms are the whole series in float64, and
-    # each cell's sum depends on that cell alone
-    total = _partial_sum(q, 2**60)
-    return np.where(np.abs(q) < 1.0 - 2.0**-50, f * f * r_same_partner * e2 * total, np.nan)[()]
+    converges = np.abs(q) < 1.0 - 2.0**-50
+    # 2^j terms, j <= 60: wherever q converges, |q|^(2^(j-1)) <= exp(-1500), far below the least
+    # subnormal even after the squarings' rounding, so the last doubling's power is 0 and it and each
+    # further one up to 2^60 terms multiply the sum by exactly 1 + 0j: every cell has its 2^60-term bits
+    largest = np.max(np.abs(q), where=converges, initial=0.0)
+    j = 1 if largest == 0.0 else min(60, math.ceil(math.log2(1500.0 / -math.log(largest))) + 1)
+    total = _partial_sum(q, 2**j)
+    return np.where(converges, f * f * r_same_partner * e2 * total, np.nan)[()]
 
 
 def dressing_series_deviation(pt: DimensionlessPoint):
@@ -141,9 +144,14 @@ def run_verification(
     and both unitarity sums.  Exchange model adds the side-symmetry and
     flux-closure identities; contact model adds the dressing series check.
     Each model's samples are checked as one stack.  Raises DomainError for
-    a count that is not an integer, fewer than one sample or a negative seed.
+    a count that is not an integer, fewer than one sample, a negative seed,
+    no model or a model given twice, before any sampling.
     """
     samples, seed = check_count("samples", samples, 1), check_count("seed", seed, 0)
+    if not models:
+        raise DomainError("need at least one model")
+    if len(set(models)) != len(models):
+        raise DomainError(f"model given twice in {list(models)}")
     report = VerificationReport(samples_per_model=samples, seed=seed)
     for model in models:
         stack = sample_points(model, samples, seed)

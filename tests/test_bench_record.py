@@ -1,9 +1,10 @@
 """The aggregation of ``scripts/bench_record.py`` on canned benchmark
-output; nothing here starts a benchmark run."""
+output and a stand-in run script; nothing here starts a benchmark run."""
 
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,3 +82,42 @@ def test_tree_identity_names_the_commit_and_whether_tracked_files_changed(tmp_pa
     assert bench_record.tree_identity(repo) == {"commit": head, "dirty": False}
     (repo / "a.txt").write_text("2\n")
     assert bench_record.tree_identity(repo) == {"commit": head, "dirty": True}
+
+
+def test_raw_rates_get_the_medians_quartiles_and_pairs_of_the_scaled_metrics():
+    baseline = [{"seed": s, "result": _result(10.0, 4.0), "raw_points_per_s": raw}
+                for s, raw in zip((1, 2, 3, 4, 5), (8.0, 6.0, 7.0, 9.0, None))]
+    change = [{"seed": s, "result": _result(9.0, 5.0), "raw_points_per_s": raw}
+              for s, raw in zip((1, 2, 3, 4, 5), (8.5, 5.0, 7.5, 9.5, 1.0))]
+    summary = bench_record.summarize(baseline)
+    assert summary["medians"]["raw_points_per_s"] == 7.5  # the run without a raw rate is left out
+    assert summary["quartiles"]["raw_points_per_s"] == [6.75, 8.25]
+    assert summary["medians"]["points_per_s"] == 10.0
+    won = bench_record.pairs_won(baseline, change, {"points_per_s": "higher", "raw_points_per_s": "higher"})
+    assert won == {"points_per_s": {"won": 0, "pairs": 5}, "raw_points_per_s": {"won": 3, "pairs": 4}}
+
+
+FAKE_RUN = """
+import json, sys
+from pathlib import Path
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+if args["--seed"] == "1":
+    out = Path("perfbench/out")
+    out.mkdir(parents=True, exist_ok=True)
+    record = {"detail": {"raw_points_per_s": 1234.5}}
+    (out / f"{args['--workload']}-seed{args['--seed']}-trace{args['--trace']}.json").write_text(json.dumps(record))
+print("# env: {}")
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {}}))
+"""
+
+
+def test_run_once_reads_the_raw_rate_of_the_run_it_made(tmp_path):
+    (tmp_path / "fake_run.py").write_text(FAKE_RUN)
+    command = [sys.executable, "fake_run.py"]
+    run = bench_record.run_once(tmp_path, command, "cross-check", 1, 0.1)
+    assert run["raw_points_per_s"] == 1234.5
+    # seed 2 writes no record: an earlier run's is not read in its place
+    stale = tmp_path / "perfbench" / "out" / "cross-check-seed2-trace0.json"
+    stale.write_text(json.dumps({"detail": {"raw_points_per_s": 99.0}}))
+    run = bench_record.run_once(tmp_path, command, "cross-check", 2, 0.1)
+    assert run["result"] is not None and run["raw_points_per_s"] is None and not stale.exists()

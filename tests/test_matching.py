@@ -5,6 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from entscat import (
 )
 from entscat.closedform import _closed_forms
 from entscat.core import point_at
-from entscat.matching import _COUPLINGS, build_matching_system, solve_system
+from entscat.matching import _COUPLINGS, _fold, build_matching_system, solve_system
 from entscat.verify import sample_points
 
 XY = ModelKind.SPIN_EXCHANGE
@@ -164,6 +165,29 @@ def _wide_sample(model, n, seed):
     kind = rng.integers(0, 4, n)
     phase = np.where(kind < 2, rng.uniform(0.0, math.pi, n), np.where(kind == 2, near, math.pi - near))
     return DimensionlessPoint(omega_a, omega_b, phase, model)
+
+
+@pytest.mark.parametrize("model", [XY, HEIS])
+def test_folds_equal_numpys_reductions_bit_for_bit(model):
+    """The oracle's short-axis maxima and column sums, as chains of ufunc
+    calls, against numpy's own reductions: on the wide sample's |M| and
+    |[x | M^-1]|, with rows of inf and NaN, and on signed parts for sums,
+    whose bits depend on the order of the additions."""
+    matrix, rhs = build_matching_system(_wide_sample(model, 1500, 5))
+    with np.errstate(all="ignore"):  # NaN, not LinAlgError, where M cannot be factored
+        inverse = _umath_linalg.inv(matrix, signature="D->D")
+    arrays = [np.abs(matrix), np.abs(inverse)]
+    for x in arrays:
+        x[::7, 2, 3] = np.inf
+        x[3::11, 4, :2] = np.nan
+        x[5::13, :, 1] = np.inf
+    signed = [matrix.real, matrix.imag, inverse.real, inverse.imag]
+    for x in arrays:
+        assert np.isinf(x).any() and np.isnan(x).any()
+        for rows in (x, x[..., 0, :], x[7]):
+            assert _fold(np.maximum, rows).tobytes() == rows.max(axis=-1).tobytes()
+    for x in arrays + signed:
+        assert _fold(np.add, x, -2).tobytes() == x.sum(axis=-2).tobytes()
 
 
 @pytest.mark.parametrize("model", [XY, HEIS])

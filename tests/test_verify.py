@@ -3,6 +3,7 @@ per-point loop it replaced, and the direct dressing series against a
 high-precision sum."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from entscat import (
     solve_amplitudes_numeric,
     validate,
 )
+import entscat.verify as verify
+from entscat.closedform import _partial_sum, _site_terms
 from entscat.core import point_at
 from entscat.verify import (
     CheckResult,
@@ -204,6 +207,21 @@ def test_battery_rejects_a_negative_seed():
     assert report.ok and type(report.samples_per_model) is int and type(report.seed) is int
 
 
+def test_battery_rejects_no_model_and_a_repeated_model_before_sampling(monkeypatch):
+    def sample_points(*args):
+        raise AssertionError("sampled before the models were checked")
+
+    monkeypatch.setattr(verify, "sample_points", sample_points)
+    with pytest.raises(DomainError, match=r"^need at least one model$"):
+        run_verification(10, 1, models=())
+    for models in ((XY, XY), (HEIS, XY, HEIS), ("xy", "xy")):
+        with pytest.raises(DomainError, match="^model given twice in " + re.escape(str(list(models))) + "$"):
+            run_verification(10, 1, models=models)
+    monkeypatch.undo()
+    with pytest.raises(UnsupportedModelError, match="unknown model 'xy'"):
+        run_verification(10, 1, models=("xy",))
+
+
 @pytest.mark.parametrize("model", [XY, HEIS])
 @pytest.mark.parametrize("samples", [1, 2, 3, 10])
 def test_sample_is_the_seeded_points_in_order(model, samples):
@@ -302,6 +320,76 @@ def test_series_is_within_1e_12_relative_of_the_exact_sum_on_log_uniform_opaciti
             f_, r_, s_, e_ = (mpmath.mpc(z) for z in (f, r_own, r_same_partner, e2))
             exact = f_ * f_ * s_ * e_ / (1 - r_ * s_ * e_)
             assert abs(mpmath.mpc(value) - exact) <= 1e-12 * abs(exact), (f, r_own, r_same_partner, e2)
+
+
+def _series_sigma_of_2_60_terms(f, r_own, r_same_partner, e2):
+    """The direct series as it was first cut: 2^60 terms in every cell."""
+    q = r_own * r_same_partner * e2
+    return np.where(np.abs(q) < 1.0 - 2.0**-50, f * f * r_same_partner * e2 * _partial_sum(q, 2**60), np.nan)
+
+
+def _wide_series_inputs(n, seed):
+    """(f, r_own, r_same_partner, e2) of both sites at opacities log-uniform
+    in [1e-8, 1e9], 30% of the phases within 1e-15..1e-1 of 0 or pi, each
+    stacked on a leading axis of two, as the dressing check passes them."""
+    rng = np.random.default_rng(seed)
+    omega_a, omega_b = 10.0 ** rng.uniform(-8.0, 9.0, (2, n))
+    near = 10.0 ** rng.uniform(-15.0, -1.0, n)
+    kind = rng.uniform(0.0, 1.0, n)
+    phase = np.where(kind < 0.7, rng.uniform(0.0, math.pi, n), np.where(kind < 0.85, near, math.pi - near))
+    with np.errstate(all="ignore"):
+        _, a_r, a_f, _, a_rs = _site_terms(omega_a, HEIS)
+        _, b_r, b_f, _, b_rs = _site_terms(omega_b, HEIS)
+    return np.stack([a_f, b_f]), np.stack([a_r, b_r]), np.stack([b_rs, a_rs]), np.exp(2j * phase)
+
+
+def _near_unit_q(n, seed):
+    """q of modulus 1 - 10^u, u uniform in [-15, 0], at uniform arguments."""
+    rng = np.random.default_rng(seed)
+    return (1.0 - 10.0 ** rng.uniform(-15.0, 0.0, n)) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=complex), np.asarray(want, dtype=complex)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_series_cut_where_every_power_underflowed_keeps_the_bits_of_2_60_terms(seed):
+    """The cut takes its length from the stack's largest convergent |q|, so a
+    stack of one and a whole stack may sum different lengths: each cell has
+    the bits of 2^60 terms either way."""
+    with np.errstate(all="ignore"):
+        args = _wide_series_inputs(5000, seed)
+        stacked = _series_sigma(*args)
+        assert _same_bits(stacked, _series_sigma_of_2_60_terms(*args))
+        # a stack whose largest |q| is below 0.999 sums fewer terms
+        keep = (np.abs(args[1] * args[2] * args[3]) < 0.999).all(axis=0)
+        assert _same_bits(_series_sigma(*(x[..., keep] for x in args)), stacked[:, keep])
+        q = _near_unit_q(5000, seed)
+        ones = np.ones_like(q)
+        near_unit = _series_sigma(ones, q, ones, ones)
+        assert _same_bits(near_unit, _series_sigma_of_2_60_terms(ones, q, ones, ones))
+        # each cell on its own: a stack of one equals its cell in the stack,
+        # and a point, in Python complex arithmetic, its own 2^60-term sum
+        cells = [(tuple(x[0, i] for x in args[:3]), args[3][i], stacked[0, i]) for i in range(0, 5000, 25)]
+        cells += [((1.0, x, 1.0), 1.0, value) for x, value in zip(q[:200], near_unit)]
+        for (f, r_own, r_same_partner), e2, value in cells:
+            cell = tuple(complex(x) for x in (f, r_own, r_same_partner, e2))
+            assert _same_bits(_series_sigma(*(np.array([x]) for x in cell)), [value]), cell
+            assert _same_bits(_series_sigma(*cell), _series_sigma_of_2_60_terms(*cell)), cell
+
+
+def test_series_cut_at_q_zero():
+    zero = np.zeros(3, dtype=complex)
+    f, e2 = np.array([0.5 + 0.25j, 1.0, 0.0]), np.exp(2j * np.array([0.1, 1.3, 2.9]))
+    r_same = np.array([0.3 - 0.1j, -0.5j, 1.0])
+    for r_own in (zero, -zero, np.array([0.0, 0.5 - 0.5j, 0.0])):  # every q 0, or some
+        args = (f, r_own, r_same, e2)
+        assert _same_bits(_series_sigma(*args), _series_sigma_of_2_60_terms(*args))
+    # the transparent corners of the sample have q = 0
+    stack = sample_points(HEIS, 3, 42)
+    assert np.array_equal(dressing_series_deviation(stack), [dressing_series_deviation(point_at(stack, i)) for i in range(3)])
 
 
 def test_near_resonant_points_need_long_series():
