@@ -232,9 +232,33 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# the flags whose values are numbers: argparse reads a value such as -1e-3 or -inf after them as an option
+_NUMERIC_FLAGS = frozenset(f"--{name}" for name in PHYSICAL_NAMES + DIMENSIONLESS_NAMES + ("seed", "samples"))
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_numbers(argv: list[str]) -> list[str]:
+    """``argv`` with each numeric flag and a negative number after it joined as ``--flag=value``, so that every
+    float form reaches the flag: argparse takes only the -1 and -.5 forms for negative numbers."""
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in _NUMERIC_FLAGS and arg.startswith("-") and _is_number(arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_numbers(sys.argv[1:] if argv is None else argv))
     try:
         return args.run(parser, args)
     except DomainError as exc:

@@ -183,12 +183,22 @@ def _is_array(x) -> bool:
 
 
 def _float(name: str, x):
-    """``x`` as a Python float, an array as it is; ValidationError naming ``name`` if float64 cannot hold it."""
-    if _is_array(x):
-        return x
+    """``x`` as a Python float, an array as a float64 array (itself if it is one); ValidationError naming ``name``
+    if float64 cannot hold it, and TypeError naming it for a numpy complex array or scalar."""
+    np = sys.modules.get("numpy")  # loaded wherever x is a numpy array or scalar
     with contextlib.suppress(OverflowError):
-        if abs(y := float(x)) < math.inf or not abs(x) < math.inf:  # some types round a finite x to inf
-            return y
+        if np is None or not isinstance(x, (np.ndarray, np.complexfloating)):
+            if abs(y := float(x)) < math.inf or not abs(x) < math.inf:  # some types round a finite x to inf
+                return y
+        elif x.dtype == float:
+            return x
+        elif x.dtype.kind == "c":
+            raise TypeError(f"{name} must be real, got dtype {x.dtype}")
+        else:
+            with np.errstate(over="ignore"):
+                y = x.astype(float)
+            if ((abs(y) < math.inf) | ~(abs(x) < math.inf)).all():  # no cell that float64 rounds to inf
+                return y
     raise ValidationError(f"{name} must lie within the float64 range, |{name}| < 1.8e308")
 
 
@@ -255,7 +265,7 @@ def check_opacity(name: str, omega: float) -> float:
         return omega
     check_single(name, omega, "opacity")
     check_rules((name, omega, opacity_ok(omega), _OPACITY))
-    return _float(name, omega.item() if _is_array(omega) else omega)  # a 0-d array as its one value
+    return _float(name, omega[()] if _is_array(omega) else omega)  # a 0-d array as its one numpy scalar
 
 
 def check_count(name: str, value, least: int) -> int:
@@ -274,9 +284,10 @@ def validate(pt: DimensionlessPoint) -> DimensionlessPoint:
     non-finite value and for one float64 cannot hold; an int or Fraction is
     taken at its nearest float.  A point comes back with Python float fields,
     the same object if it had them and was canonical; a stack (see
-    :func:`_is_stack`) is checked and folded cell by cell, its raw phases kept
+    :func:`_is_stack`) is checked and folded cell by cell, its arrays
+    converted to float64 (a float64 one kept as it is), its raw phases kept
     in ``phase_original`` and its phase made an array, so the phase's type
-    tells the two apart."""
+    tells the two apart.  A numpy complex value is a TypeError."""
     omega_a, omega_b, phase = pt.omega_a, pt.omega_b, pt.phase
     floats = type(omega_a) is float and type(omega_b) is float and type(phase) is float
     if floats and 0.0 <= phase < math.pi and 0.0 <= omega_a < math.inf and 0.0 <= omega_b < math.inf:

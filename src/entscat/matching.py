@@ -62,20 +62,12 @@ def build_matching_system(pt: DimensionlessPoint) -> tuple[np.ndarray, np.ndarra
 
     On a stacked point, one system per cell, stacked over the leading axes:
     M has shape (..., 6, 6) and b shape (..., 6)."""
-    matrix, rhs, _, _ = _matching_system(validate(pt))
-    return matrix, rhs
-
-
-def _matching_system(pt: DimensionlessPoint):
-    """(M, b, E, 1/E) at the validated point ``pt``: the system of
-    :func:`build_matching_system` and its phase factors E = exp(ikd) and
-    1/E = exp(-ikd) at k = 1, d = ``phase``, one per cell."""
+    pt = validate(pt)
     if not isinstance(pt.model, ModelKind):
         raise UnsupportedModelError(f"unknown model {pt.model!r}")
     m_a, m_b = _COUPLINGS[pt.model]
     omega_a, omega_b, phase = np.broadcast_arrays(pt.omega_a, pt.omega_b, pt.phase)
-    factors = np.exp(1j * phase), np.exp(-1j * phase)
-    ea, em = (e[..., None, None] for e in factors)
+    ea, em = np.exp(1j * phase)[..., None, None], np.exp(-1j * phase)[..., None, None]
     omega_a, omega_b = omega_a[..., None, None], omega_b[..., None, None]
     # the jump's 2 omega M per site.  2M holds only 0 and powers of two, so
     # scaling omega E by it is exact; an opacity near the float64 maximum
@@ -96,7 +88,7 @@ def _matching_system(pt: DimensionlessPoint):
     system[..., 3:, 3:6] = jump * em - coupling_b_em
     _, exponent = np.frexp(_fold(np.maximum, np.abs(system[..., :6]))[..., None])
     np.ldexp(system.view(float), -exponent, out=system.view(float))  # ldexp has no complex loop
-    return system[..., :6], system[..., 6], *factors
+    return system[..., :6], system[..., 6]
 
 
 def _fold(ufunc, x, axis=-1):
@@ -155,10 +147,9 @@ def solve_amplitudes_numeric(pt: DimensionlessPoint) -> AmplitudeSet:
     On a stacked point, one stacked solve whose fields are arrays of the
     stack's shape; at a single point the fields are Python complex numbers."""
     pt = validate(pt)
-    matrix, rhs, *factors = _matching_system(pt)
-    solution = solve_system(matrix, rhs, pt)
+    solution = solve_system(*build_matching_system(pt), pt)
     a_plus, a_minus = solution[..., :3], solution[..., 3:]
-    ea, em = (e[..., None] for e in factors)
+    ea, em = np.exp(1j * pt.phase)[..., None], np.exp(-1j * pt.phase)[..., None]
     # the AmplitudeSet fields in order: (T, R) of each channel in turn
     outgoing = np.stack([a_plus * ea + a_minus * em, a_plus + a_minus - _INCIDENT], axis=-1).reshape(solution.shape)
     if type(pt.phase) is float:  # a point, not a stack, as validate returns it

@@ -49,16 +49,16 @@ class VerificationReport:
 
 
 def sample_points(model: ModelKind, samples: int, seed: int) -> DimensionlessPoint:
-    """Seeded sample, as one validated point whose fields are arrays: the
+    """Seeded sample, as one point whose fields are arrays, unvalidated: the
     transparent corners, then opacities uniform on [0, 20] and phases
-    uniform on [0, pi)."""
+    uniform on [0, pi).  Each entry it is handed to validates it."""
     rng = np.random.default_rng(seed)
     corners = [(0.0, 0.0, 1.0), (0.0, 1.0, 2.0), (1.0, 0.0, 0.5)]
     n = max(samples - len(corners), 0)
     omegas = rng.uniform(0.0, 20.0, size=(n, 2))
     phases = rng.uniform(0.0, math.pi, size=n)
     values = np.concatenate([corners, np.column_stack([omegas, phases])])[:samples]
-    return validate(DimensionlessPoint(*values.T, model))
+    return DimensionlessPoint(*values.T, model)
 
 
 def _series_sigma(f, r_own, r_same_partner, e2):

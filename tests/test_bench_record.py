@@ -5,6 +5,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -107,7 +108,7 @@ if args["--seed"] == "1":
     record = {"detail": {"raw_points_per_s": 1234.5}}
     (out / f"{args['--workload']}-seed{args['--seed']}-trace{args['--trace']}.json").write_text(json.dumps(record))
 print("# env: {}")
-print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {}}))
+print(json.dumps({"correct": True, "attempted": int(args.get("--attempted", 1)), "failed": 0, "metrics": {}}))
 """
 
 
@@ -121,3 +122,24 @@ def test_run_once_reads_the_raw_rate_of_the_run_it_made(tmp_path):
     stale.write_text(json.dumps({"detail": {"raw_points_per_s": 99.0}}))
     run = bench_record.run_once(tmp_path, command, "cross-check", 2, 0.1)
     assert run["result"] is not None and run["raw_points_per_s"] is None and not stale.exists()
+
+
+def test_run_once_counts_the_minor_page_faults_of_its_run_per_operation(tmp_path, monkeypatch):
+    (tmp_path / "fake_run.py").write_text(FAKE_RUN)
+    command = [sys.executable, "fake_run.py", "--attempted", "4"]
+    run = bench_record.run_once(tmp_path, command, "cross-check", 2, 0.1)
+    faults = run["minor_faults_per_op"] * 4  # the run's whole count, its interpreter's start-up among them
+    assert faults.is_integer() and faults > 0
+    # the children's count read before and after the run: its difference over the 4 operations
+    counts = iter([1000, 1400])
+    monkeypatch.setattr(bench_record.resource, "getrusage", lambda who: types.SimpleNamespace(
+        ru_minflt=next(counts) if who == bench_record.resource.RUSAGE_CHILDREN else None))
+    assert bench_record.run_once(tmp_path, command, "cross-check", 2, 0.1)["minor_faults_per_op"] == 100.0
+    # its median, quartiles and pairs, where fewer faults are better
+    baseline = [dict(run, seed=s, minor_faults_per_op=f) for s, f in ((1, 40.0), (2, 10.0), (3, 30.0))]
+    change = [dict(run, seed=s, minor_faults_per_op=f) for s, f in ((1, 20.0), (2, 11.0), (3, None))]
+    summary = bench_record.summarize(baseline)
+    assert summary["medians"]["minor_faults_per_op"] == 30.0
+    assert summary["quartiles"]["minor_faults_per_op"] == [20.0, 35.0]
+    won = bench_record.pairs_won(baseline, change, {"minor_faults_per_op": "lower"})
+    assert won == {"minor_faults_per_op": {"won": 1, "pairs": 2}}

@@ -19,7 +19,7 @@ from entscat import (
     site_coefficients,
     truncated_amplitudes,
 )
-from entscat.closedform import _bounce_sum, _partial_sum
+from entscat.closedform import _bounce_sum, _dressed, _partial_sum, _site_terms
 from entscat.verify import dressing_series_deviation
 
 XY = ModelKind.SPIN_EXCHANGE
@@ -161,6 +161,18 @@ class TestDressedCoefficients:
     def test_matches_direct_series_at_high_opacity(self, omega):
         # adaptive term count keeps the tail below tolerance even near |q| ~ 1
         assert dressing_series_deviation(DimensionlessPoint(omega, omega, 0.3, HEIS)) < 1e-12
+
+    def test_sigma_is_its_geometric_series_exactly(self):
+        # exact rational arithmetic: with q = r_own r_same z, z = E^2, the closed sigma is the
+        # series' first n terms f^2 r_same z (1 + ... + q^(n-1)) plus its tail f^2 r_same z q^n / (1 - q)
+        omega_a, omega_b, z = sp.symbols("omega_a omega_b z")
+        a, b = _site_terms(omega_a, HEIS), _site_terms(omega_b, HEIS)
+        *_, sigma_a, sigma_b = _dressed(a, b, z)
+        for sigma, (_, r_own, f, _, _), (*_, r_same) in ((sigma_a, a, b), (sigma_b, b, a)):
+            q = r_own * r_same * z
+            for n in (1, 2, 5):
+                series = f**2 * r_same * z * (_partial_sum(q, n) + q**n / (1 - q))
+                assert sp.cancel(sp.together(sp.nsimplify(sigma - series, rational=True))) == 0, n  # together first: 10x faster
 
 
 class TestTruncatedAmplitudes:

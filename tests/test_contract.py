@@ -14,7 +14,8 @@ float64 or float32 arrays, whose shapes need not broadcast.  An entry that
 takes one opacity gets arrays too: a 0-d array counts as its one value, and
 any other is refused with a DomainError naming its shape.  Non-numbers
 (str, None, complex) are outside the contract: they raise Python's TypeError
-from a comparison.
+from a comparison, or, for a numpy complex array or scalar, one that names
+the field.
 """
 
 import contextlib
@@ -333,6 +334,61 @@ def test_a_scalar_entry_takes_a_0d_array_as_its_one_value():
 def test_a_non_number_raises_type_error(value):
     with pytest.raises(TypeError):
         validate(DimensionlessPoint(value, 1.0, 0.5, ModelKind.SPIN_EXCHANGE))
+
+
+def _bits(record):
+    return [np.asarray(x).tobytes() for x in record]
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.array([[0.1, 2.5, 7.3], [1.7, 0.3, 19.9], [0.5, 2.9, -1.2]], dtype=np.float32),
+        np.array([[0, 1, 1], [1, 0, 1], [True, True, False]]),
+        np.array([[Fraction(1, 3), 5, Fraction(7, 2)], [Fraction(2, 7), 1, 0], [Fraction(1, 2), -4, 3]], dtype=object),
+        np.array([[0, 2, 7], [1, 3, 19], [0, 5, -2]], dtype=np.int64),
+        np.array([[0, 2, 7], [1, 3, 19], [0, 5, 2]], dtype=np.uint8),
+    ],
+    ids=["float32", "bool", "fraction", "int64", "uint8"],
+)
+def test_a_stack_is_evaluated_at_its_float64_values_whatever_its_dtype(rows, model):
+    # rows: omega_a, omega_b and phase of three cells; validate converts them once, so each
+    # entry gives the bits of the stack of the same values as float64 arrays
+    raw, twin = DimensionlessPoint(*rows, model), DimensionlessPoint(*rows.astype(float), model)
+    for name in ("omega_a", "omega_b", "phase"):
+        assert getattr(validate(raw), name).dtype == np.float64
+    for entry in (amplitudes, observables_at, solve_amplitudes_numeric):
+        assert _bits(entry(raw)) == _bits(entry(twin)), entry.__name__
+
+
+def test_an_int64_stack_does_not_overflow():
+    # omega^2 of an int64 omega wraps around above 3.04e9: P_t came out 43 times too large
+    got = observables_at(DimensionlessPoint(np.array([4_000_000_000]), np.array([3_000_000_000]), 0.5, ModelKind.SPIN_EXCHANGE))
+    want = observables_at(DimensionlessPoint(np.array([4e9]), np.array([3e9]), 0.5, ModelKind.SPIN_EXCHANGE))
+    assert _bits(got) == _bits(want) and got.probability_t[0] == pytest.approx(6.25e-20, rel=1e-3)
+
+
+def test_a_float64_stack_is_not_copied():
+    omega = np.array([0.5, 2.0])
+    assert validate(DimensionlessPoint(omega, omega, 0.5, ModelKind.SPIN_EXCHANGE)).omega_a is omega
+
+
+@pytest.mark.parametrize("value", [np.array([0.5 + 0.3j]), np.array(0.5 + 0j), np.complex128(0.5 + 0.3j), np.complex64(2.0)])
+def test_a_numpy_complex_value_is_refused_naming_its_field(value):
+    for i, name in enumerate(("omega_a", "omega_b", "phase")):
+        fields = [1.0, 1.0, 0.5]
+        fields[i] = value
+        for entry in (validate, amplitudes, solve_amplitudes_numeric):
+            with pytest.raises(TypeError, match=f"^{name} must be real, got dtype complex"):
+                entry(DimensionlessPoint(*fields, ModelKind.HEISENBERG_CONTACT))
+    with pytest.raises(TypeError, match="^g_a must be real"):
+        to_dimensionless(PhysicalPoint(value, 1.0, 1.0), ModelKind.SPIN_EXCHANGE)
+    if np.ndim(value) == 0:  # an opacity at a point kept only its real part
+        with pytest.raises(TypeError, match="^omega must be real"):
+            site_coefficients(value, ModelKind.SPIN_EXCHANGE)
+        with pytest.raises(TypeError, match="^omega_b must be real"):
+            optimal_concurrence(0.5, value)
 
 
 def test_a_numpy_point_comes_back_as_python_floats_with_the_same_bits():

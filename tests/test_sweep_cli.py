@@ -450,6 +450,37 @@ class TestCliUsageErrors:
         assert excinfo.value.code == 2
         assert capsys.readouterr().err.endswith(f"entscat: error: {message}\n")
 
+    @pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-1.0e-3", "-.1e-2", "-0.001"])
+    def test_a_negative_value_in_any_float_form_is_the_flags_value(self, value, capsys):
+        # argparse alone reads -1e-3 as an option, so --phase would have no value
+        assert run_cli("point", "--omegaA", "1", "--omegaB", "1", "--phase", value) == 0
+        out = capsys.readouterr().out
+        assert "(folded from -0.001)\n" in out
+        assert run_cli("point", "--omegaA", "1", "--omegaB", "1", f"--phase={value}") == 0
+        assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["point", "--k", "-1e3", "--gA", "1", "--gB", "1"], "entscat: error: k must be positive and finite, got -1000.0"),
+            (["point", "--omegaA", "-inf", "--omegaB", "1", "--phase", "1"],
+             "entscat: error: omega_a must be finite and non-negative, got -inf"),
+            (["optimize", "report", "--omegaA", "1", "--omegaB", "-1E3"],
+             "entscat: error: omega_b must be finite and non-negative, got -1000.0"),
+            (["verify", "--samples", "-1e3"], "entscat verify: error: argument --samples: invalid int value: '-1e3'"),
+        ],
+    )
+    def test_a_negative_value_in_exponent_form_reaches_the_flags_check(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(f"{message}\n")
+
+    def test_the_joined_flags_are_the_parsers_numeric_flags(self):
+        subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+        numeric = {s for sub in subparsers.values() for a in sub._actions if a.type in (float, int) for s in a.option_strings}
+        assert numeric == entscat.cli._NUMERIC_FLAGS
+
     def test_each_subcommand_accepts_only_the_flags_it_reads(self):
         params = {"--k", "--gA", "--gB", "--d", "--omegaA", "--omegaB", "--phase", "--sin2kd"}
         expected = {
