@@ -18,9 +18,9 @@ the ``detail`` of the record ``perfbench/run.py`` writes under
 ``perfbench/out/``, with the same statistics, higher being better, and
 its minor page faults per attempted operation (the ``ru_minflt`` of the
 run's process tree over its ``attempted`` count), lower being better: the
-same code can run at speeds 13-18% apart as the heap layout does or does
-not make each call fault its pages back.  A run that prints no result line
-is kept with its error output and left out of the statistics.
+same code runs at different speeds as the heap layout does or does not
+make each call fault its pages back.  A run that prints no result line is
+kept with its error output and left out of the statistics.
 """
 
 from __future__ import annotations
