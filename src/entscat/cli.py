@@ -37,6 +37,28 @@ from .observables import _observables
 from .optimize import find_global_p_opt, optimal_concurrence
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser with one rule for a negative number: an argument that starts with "-" and that float()
+    reads is a value after any spelling of a flag (argparse's own takes only -1 and -.5); "--flag=--" is refused."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = self  # argparse asks its match(arg) whether arg is a number, not an option
+
+    @staticmethod
+    def match(arg: str) -> bool:
+        try:
+            float(arg)
+        except ValueError:
+            return False
+        return arg.startswith("-")
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:  # argparse before 3.13 strips the "--" and stores []
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
+
+
 def _add_model(parser: argparse.ArgumentParser, default: str | None = "xy") -> None:
     parser.add_argument("--model", choices=sorted(m.value for m in ModelKind), default=default,
                         help="coupling model" + (" (default: %(default)s)" if default else " (default: all)"))
@@ -54,7 +76,7 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="entscat",
         description="Entanglement from scattering a spin-1/2 mediator off two pinned qubits in 1D.",
     )
@@ -232,33 +254,9 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-# the flags whose values are numbers: argparse reads a value such as -1e-3 or -inf after them as an option
-_NUMERIC_FLAGS = frozenset(f"--{name}" for name in PHYSICAL_NAMES + DIMENSIONLESS_NAMES + ("seed", "samples"))
-
-
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
-def _join_numbers(argv: list[str]) -> list[str]:
-    """``argv`` with each numeric flag and a negative number after it joined as ``--flag=value``, so that every
-    float form reaches the flag: argparse takes only the -1 and -.5 forms for negative numbers."""
-    joined = []
-    for arg in argv:
-        if joined and joined[-1] in _NUMERIC_FLAGS and arg.startswith("-") and _is_number(arg):
-            joined[-1] += "=" + arg
-        else:
-            joined.append(arg)
-    return joined
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _parser()
-    args = parser.parse_args(_join_numbers(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(argv)
     try:
         return args.run(parser, args)
     except DomainError as exc:

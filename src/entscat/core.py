@@ -227,7 +227,13 @@ def check_rules(*rules):
     """Raise ValidationError for the first failing rule, each a (name, value,
     ok, requirement) with ``ok`` the verdict on ``value``.  Elementwise: where
     a verdict is a numpy array, the error is the one that the first failing
-    cell, in row-major order, raises as a point of its own."""
+    cell, in row-major order, raises as a point of its own.  A numpy complex
+    value is a TypeError naming it before any rule, whatever its sign: numpy
+    orders complex numbers by their real part, so a rule would pass 1+1j."""
+    np = sys.modules.get("numpy")  # loaded wherever a value is a numpy array or scalar
+    for name, value, _, _ in rules if np else ():
+        if isinstance(value, (np.ndarray, np.complexfloating)) and value.dtype.kind == "c":
+            raise TypeError(f"{name} must be real, got dtype {value.dtype}")
     for i, (name, value, ok, requirement) in enumerate(rules):
         if ok is False:
             raise ValidationError(f"{name} {requirement}, got {value!r}")

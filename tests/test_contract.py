@@ -374,8 +374,10 @@ def test_a_float64_stack_is_not_copied():
     assert validate(DimensionlessPoint(omega, omega, 0.5, ModelKind.SPIN_EXCHANGE)).omega_a is omega
 
 
-@pytest.mark.parametrize("value", [np.array([0.5 + 0.3j]), np.array(0.5 + 0j), np.complex128(0.5 + 0.3j), np.complex64(2.0)])
+@pytest.mark.parametrize("value", [np.array([0.5 + 0.3j]), np.array(0.5 + 0j), np.complex128(0.5 + 0.3j), np.complex64(2.0),
+                                   np.array([-1 + 1j]), np.array(-0.5 + 0j), np.complex128(-1 + 1j), np.complex64(-2.0)])
 def test_a_numpy_complex_value_is_refused_naming_its_field(value):
+    # of either sign: numpy orders complex numbers by their real part, so -1+1j would fail a rule and 1+1j pass it
     for i, name in enumerate(("omega_a", "omega_b", "phase")):
         fields = [1.0, 1.0, 0.5]
         fields[i] = value
@@ -389,6 +391,8 @@ def test_a_numpy_complex_value_is_refused_naming_its_field(value):
             site_coefficients(value, ModelKind.SPIN_EXCHANGE)
         with pytest.raises(TypeError, match="^omega_b must be real"):
             optimal_concurrence(0.5, value)
+        with pytest.raises(TypeError, match="^omega_a must be real"):
+            unit_concurrence_phase(value, 0.5)
 
 
 def test_a_numpy_point_comes_back_as_python_floats_with_the_same_bits():

@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import entscat.cli
 import entscat.sweep
@@ -253,6 +259,58 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+SUBPARSERS = next(a for a in build_parser()._actions if a.dest == "command").choices
+# each subcommand's flags that take one value, and those of them that take a number
+VALUE_FLAGS = [(c, a.option_strings[0]) for c, sub in SUBPARSERS.items() for a in sub._actions if a.option_strings and a.nargs is None]
+NUMERIC_FLAGS = [(c, flag) for c, flag in VALUE_FLAGS if SUBPARSERS[c]._option_string_actions[flag].type in (float, int)]
+UNIT_SYSTEMS = ({"k": "1", "gA": "1", "gB": "1", "d": "1"}, {"omegaA": "1", "omegaB": "1", "phase": "1"},
+                {"omegaA": "1", "omegaB": "1", "sin2kd": "0.5"})
+
+
+# values for a numeric flag: float texts in every form float() reads, and texts it does not
+FLOAT_TEXTS = st.one_of(
+    st.floats().map(repr),  # negatives, both zeros, subnormals, infinities and NaN among them
+    st.floats(allow_nan=False).map("{:e}".format),
+    st.floats(allow_nan=False).map("{:E}".format),
+    st.floats(0.0, 1e3).map("+{!r}".format),
+    st.integers(-(10**6), 10**6).map("{:_}".format),
+    st.integers(-3, 30).map(str),
+    st.sampled_from(["-1e-3", "-.5", "-5.", "-0", "-Infinity", "-nan", "+inf", "-1_000.5e-1_0"]),
+)
+JUNK = st.one_of(st.sampled_from(["--", "-", "", "-x", "--x", "-1e", "-e1", "1__0", "-h", "--help"]),
+                 st.text("-+.eE_019xn ", max_size=5))
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _base_argv(command: str, flag: str, out: str) -> list[str]:
+    """A quick, valid run of ``command`` that a value of ``flag`` appended to it overrides: a point in the unit
+    system of ``flag``, an axis of 3 points over another of its parameters, 2 verify samples."""
+    if command == "optimize":
+        return ["optimize", "report", "--omegaA", "1", "--omegaB", "1"]
+    if command == "verify":
+        return ["verify", "--model", "xy", "--seed", "1", "--samples", "2"]
+    params = next((u for u in UNIT_SYSTEMS if flag[2:] in u), UNIT_SYSTEMS[1])
+    if command == "point":
+        return ["point", *(t for name, value in params.items() for t in (f"--{name}", value))]
+    axis = next(name for name in params if name != flag[2:])
+    fixed = [t for name, value in params.items() if name != axis for t in (f"--{name}", value)]
+    return [command, *fixed, "--axis", f"{axis}=0.5:1:3", "--out", out] + (["--n", "0,1"] if command == "truncate" else [])
+
+
+def _spellings(command: str, flag: str, value: str) -> list[list[str]]:
+    """``flag`` with ``value`` in full, as its shortest unique prefix, and joined by ``=``."""
+    others = [s for s in SUBPARSERS[command]._option_string_actions if s != flag]
+    prefix = next((flag[:n] for n in range(3, len(flag)) if not any(s.startswith(flag[:n]) for s in others)), flag)
+    return [[flag, value], [prefix, value], [f"{flag}={value}"]]
+
+
 class TestCli:
     def test_point_reference_values(self, capsys):
         assert run_cli("point", "--model", "xy", "--gA", "3", "--gB", "3", "--k", "3") == 0
@@ -476,10 +534,49 @@ class TestCliUsageErrors:
         assert excinfo.value.code == 2
         assert capsys.readouterr().err.endswith(f"{message}\n")
 
-    def test_the_joined_flags_are_the_parsers_numeric_flags(self):
-        subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
-        numeric = {s for sub in subparsers.values() for a in sub._actions if a.type in (float, int) for s in a.option_strings}
-        assert numeric == entscat.cli._NUMERIC_FLAGS
+    @pytest.mark.parametrize("command, flag", NUMERIC_FLAGS)
+    def test_every_numeric_flag_reads_a_negative_exponent_in_every_spelling(self, command, flag, tmp_path, capsys):
+        action = SUBPARSERS[command]._option_string_actions[flag]
+        for spelling in _spellings(command, flag, "-1e-3"):
+            argv = _base_argv(command, flag, str(tmp_path / "out.csv")) + spelling
+            if action.type is float:
+                assert getattr(build_parser().parse_args(argv), action.dest) == -1e-3, spelling
+            else:
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args(argv)
+                assert capsys.readouterr().err.endswith(f"error: argument {flag}: invalid int value: '-1e-3'\n"), spelling
+
+    @pytest.mark.parametrize("command, flag", VALUE_FLAGS)
+    def test_a_flag_given_double_dash_after_equals_is_a_usage_error(self, command, flag, tmp_path, capsys):
+        # argparse before 3.13 strips the -- and stores [], which reached the handlers as a value
+        with pytest.raises(SystemExit) as excinfo:
+            main(_base_argv(command, flag, str(tmp_path / "out.csv")) + [f"{flag}=--"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"^entscat {command}: error: .*{flag}", err, re.M) and "Traceback" not in err
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.sampled_from(NUMERIC_FLAGS), value=st.one_of(FLOAT_TEXTS, JUNK))
+    def test_every_spelling_of_a_numeric_flag_runs_alike(self, case, value):
+        command, flag = case
+        with contextlib.suppress(ValueError):  # a run of at most 20 verify samples
+            assume(flag != "--samples" or int(value) <= 20)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out.csv"
+            runs = set()
+            for spelling in _spellings(command, flag, value):
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    try:
+                        code = main(_base_argv(command, flag, str(out)) + spelling)
+                    except SystemExit as exc:
+                        code = exc.code
+                assert code in (0, 1, 2) and "Traceback" not in stderr.getvalue()
+                written = out.read_bytes() if out.exists() else None
+                out.unlink(missing_ok=True)
+                # after a flag, "-x" is an option and "=-x" a value: both refused, in words of their own
+                runs.add((code, stdout.getvalue(), written, stderr.getvalue() if _is_float(value) else None))
+        assert len(runs) == 1, runs
 
     def test_each_subcommand_accepts_only_the_flags_it_reads(self):
         params = {"--k", "--gA", "--gB", "--d", "--omegaA", "--omegaB", "--phase", "--sin2kd"}
