@@ -261,7 +261,8 @@ def run_cli(*argv):
 
 SUBPARSERS = next(a for a in build_parser()._actions if a.dest == "command").choices
 # each subcommand's flags that take one value, and those of them that take a number
-VALUE_FLAGS = [(c, a.option_strings[0]) for c, sub in SUBPARSERS.items() for a in sub._actions if a.option_strings and a.nargs is None]
+VALUE_FLAGS = [(c, a.option_strings[0]) for c, sub in SUBPARSERS.items()
+               for a in sub._actions if a.option_strings and a.nargs is None]
 NUMERIC_FLAGS = [(c, flag) for c, flag in VALUE_FLAGS if SUBPARSERS[c]._option_string_actions[flag].type in (float, int)]
 UNIT_SYSTEMS = ({"k": "1", "gA": "1", "gB": "1", "d": "1"}, {"omegaA": "1", "omegaB": "1", "phase": "1"},
                 {"omegaA": "1", "omegaB": "1", "sin2kd": "0.5"})
